@@ -23,7 +23,7 @@ from collections import Counter
 from repro.batch import MachinePool
 from repro.core import Services
 from repro.desim import Environment, Topics, TransferCancelled
-from repro.monitor import BusCollector
+from repro.monitor import BusCollector, RunMetrics
 from repro.monitor.report import ascii_bar, ascii_timeline
 from repro.net import TrafficClass
 from repro.storage.wan import OutageWindow
@@ -38,7 +38,8 @@ OUTAGE = OutageWindow(3600.0, 4200.0)
 
 def main() -> None:
     env = Environment()
-    collector = BusCollector(env.bus)
+    metrics = RunMetrics()
+    BusCollector(env.bus, metrics)
     failures = Counter()
     env.bus.subscribe(
         Topics.NET_FLOW_FAIL, lambda ev: failures.update([ev.fields["cls"]])
@@ -122,7 +123,6 @@ def main() -> None:
     except TransferCancelled:  # pragma: no cover - nothing should leak
         raise
 
-    m = collector.metrics
     print("=" * 64)
     print("NETWORK FABRIC CONTENTION (paper Fig 10 conditions)")
     print("=" * 64)
@@ -131,8 +131,8 @@ def main() -> None:
     print()
 
     print("traffic by class (bandwidth timeline, full run left to right):")
-    totals = m.flow_bytes_by_class()
-    _, series = m.bandwidth_timeline(100.0)
+    totals = metrics.flow_bytes_by_class()
+    _, series = metrics.bandwidth_timeline(100.0)
     for cls in sorted(totals, key=lambda c: -totals[c]):
         strip = ascii_timeline(series.get(cls, []), width=48)
         print(f"  {cls:<10s} {totals[cls] / 1e12:7.3f} TB  |{strip}|")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Dict
 
-__all__ = ["ExitCode", "FrameworkReport"]
+__all__ = ["ExitCode", "FrameworkReport", "exit_code_name"]
 
 
 class ExitCode(IntEnum):
@@ -52,6 +52,15 @@ class ExitCode(IntEnum):
             ExitCode.STAGE_OUT_FAILED: "stage-out",
             ExitCode.EVICTED: "eviction",
         }[self]
+
+
+def exit_code_name(code: int) -> str:
+    """The :class:`ExitCode` name of *code*, or the number itself as a
+    string for a code outside the enum (a foreign recording)."""
+    try:
+        return ExitCode(code).name
+    except ValueError:
+        return str(code)
 
 
 @dataclass

@@ -276,16 +276,33 @@ def _attach_events_sink(env, args):
     return sink
 
 
+def _replay_file(path, *folds):
+    """Load a JSONL recording and :func:`~repro.monitor.replay` it into
+    *folds*; returns the events.  A missing file or a malformed or
+    foreign stream is a one-line error."""
+    from repro.monitor import load_events, replay
+
+    try:
+        events = load_events(path)
+        replay(events, *folds)
+    except OSError as exc:
+        raise SystemExit(str(exc)) from None
+    except ValueError as exc:  # json.JSONDecodeError is a ValueError
+        raise SystemExit(f"{path}: not a valid event stream ({exc})") from None
+    return events
+
+
 def _finish(prepared, out, sink=None, dash_out=None) -> int:
     """Drive a :class:`~repro.scenarios.PreparedRun` and print its report."""
     from repro.monitor import render_report
     from repro.scenarios import execute_prepared
 
-    collector = tracer = None
+    rollup = tracer = None
     if dash_out is not None:
-        from repro.monitor import RollupCollector, SpanTracer
+        from repro.monitor import BusCollector, Rollup, SpanTracer
 
-        collector = RollupCollector(prepared.env.bus)
+        rollup = Rollup()
+        BusCollector(prepared.env.bus, rollup)
         tracer = SpanTracer(prepared.env)
     # The settle window lets workers and glide-ins exit cleanly instead
     # of being garbage-collected mid-yield.
@@ -294,14 +311,14 @@ def _finish(prepared, out, sink=None, dash_out=None) -> int:
     if sink is not None:
         sink.close()
         out.write(f"recorded {sink.count} events to {sink.path}\n")
-    if collector is not None:
+    if rollup is not None:
         from repro.monitor import write_dashboard
 
         tracer.finalize()
         labels = [wf.label for wf in prepared.run.config.workflows]
         write_dashboard(
             dash_out,
-            collector.rollup,
+            rollup,
             metrics=prepared.run.metrics,
             spans=list(tracer.spans),
             bus_stats=prepared.env.bus.stats(),
@@ -533,15 +550,10 @@ def cmd_topology(args, out) -> int:
 def cmd_events(args, out) -> int:
     from collections import Counter
 
-    from repro.monitor import diagnose, load_events, metrics_from_events
+    from repro.monitor import RunMetrics, diagnose
 
-    try:
-        events = load_events(args.path)
-    except OSError as exc:
-        raise SystemExit(str(exc)) from None
-    except ValueError as exc:  # json.JSONDecodeError is a ValueError
-        raise SystemExit(f"{args.path}: not a valid event stream ({exc})") from None
-    metrics = metrics_from_events(events)
+    metrics = RunMetrics()
+    events = _replay_file(args.path, metrics)
 
     out.write(f"{len(events)} events from {args.path}\n")
     counts = Counter(ev.get("topic", "?") for ev in events)
@@ -587,25 +599,17 @@ def cmd_trace(args, out) -> int:
         critical_path,
         diagnose,
         format_breakdown,
-        spans_from_events,
         work_coverage,
         write_chrome_trace,
         write_spans_jsonl,
     )
 
     if args.replay is not None:
-        from repro.monitor import load_events, metrics_from_events
+        from repro.monitor import RunMetrics, SpanStreamBuilder
 
-        try:
-            events = load_events(args.replay)
-        except OSError as exc:
-            raise SystemExit(str(exc)) from None
-        except ValueError as exc:
-            raise SystemExit(
-                f"{args.replay}: not a valid event stream ({exc})"
-            ) from None
-        spans = spans_from_events(events)
-        metrics = metrics_from_events(events)
+        builder, metrics = SpanStreamBuilder(), RunMetrics()
+        events = _replay_file(args.replay, builder, metrics)
+        spans = builder.result()
         orphan_count = sum(
             1 for s in spans
             if s.parent_id is None and s.name not in ("unit", "run")
@@ -772,40 +776,28 @@ def cmd_dash(args, out) -> int:
     """Render a run as a static HTML ops dashboard.
 
     Live mode runs a DES scenario from the sweep registry with a
-    :class:`~repro.monitor.RollupCollector` (and a
+    :class:`~repro.monitor.Rollup` (and a
     :class:`~repro.monitor.SpanTracer`, so §5 diagnoses carry
     click-through evidence spans) attached to the bus; ``--replay``
     instead rebuilds the rollup from a JSONL event recording.  Both
     paths optionally cross-check the streaming rollup against the
     exact :class:`~repro.monitor.RunMetrics` reduction.
     """
-    from repro.monitor import verify_parity, write_dashboard
+    from repro.monitor import Rollup, verify_parity, write_dashboard
 
+    rollup = Rollup(args.bin_width)
     if args.replay is not None:
-        from repro.monitor import (
-            load_events,
-            metrics_from_events,
-            rollup_from_events,
-            spans_from_events,
-        )
+        from repro.monitor import RunMetrics, SpanStreamBuilder
 
-        try:
-            events = load_events(args.replay)
-        except OSError as exc:
-            raise SystemExit(str(exc)) from None
-        except ValueError as exc:
-            raise SystemExit(
-                f"{args.replay}: not a valid event stream ({exc})"
-            ) from None
-        rollup = rollup_from_events(events, bin_width=args.bin_width)
-        metrics = metrics_from_events(events)
-        spans = spans_from_events(events)
+        metrics, builder = RunMetrics(), SpanStreamBuilder()
+        events = _replay_file(args.replay, rollup, metrics, builder)
+        spans = builder.result()
         bus_stats = None
         title = f"replay of {args.replay}"
         out.write(f"replayed {len(events)} events from {args.replay}\n")
     else:
         from repro.desim import Environment
-        from repro.monitor import RollupCollector, SpanTracer
+        from repro.monitor import BusCollector, SpanTracer
         from repro.sweep import get_scenario, list_scenarios
 
         try:
@@ -823,13 +815,12 @@ def cmd_dash(args, out) -> int:
         params.setdefault("seed", args.seed)
         env = Environment()
         tracer = SpanTracer(env)
-        collector = RollupCollector(env.bus, bin_width=args.bin_width)
+        BusCollector(env.bus, rollup)
         try:
             result = scenario.build(env, **params)
         except TypeError as exc:
             raise SystemExit(f"scenario {args.scenario!r}: {exc}") from None
         tracer.finalize()
-        rollup = collector.rollup
         metrics = result.run.metrics
         spans = list(tracer.spans)
         bus_stats = env.bus.stats()
@@ -863,8 +854,8 @@ def cmd_dash(args, out) -> int:
 def cmd_watch(args, out) -> int:
     """Watch a run live (or replay one) through the health engine.
 
-    Live mode attaches a :class:`~repro.monitor.RunWatcher` (plus the
-    rollup collector and span tracer) to a DES scenario from the sweep
+    Live mode attaches a :class:`~repro.monitor.RunWatcher` (plus a
+    rollup and a span tracer) to a DES scenario from the sweep
     registry; every detector transition is printed as a greppable
     ``ALERT`` line and published on the bus, and ``--refresh-every``
     re-renders the dashboard atomically at window closes.  ``--replay``
@@ -873,22 +864,14 @@ def cmd_watch(args, out) -> int:
     """
     import json as _json
 
-    from repro.monitor import rollup_from_events, write_dashboard
+    from repro.monitor import Rollup, write_dashboard
 
+    rollup = Rollup(args.window)
     if args.replay is not None:
-        from repro.monitor import alerts_from_events, load_events, metrics_from_events
+        from repro.monitor import RunMetrics, WatchEngine
 
-        try:
-            events = load_events(args.replay)
-        except OSError as exc:
-            raise SystemExit(str(exc)) from None
-        except ValueError as exc:
-            raise SystemExit(
-                f"{args.replay}: not a valid event stream ({exc})"
-            ) from None
-        engine = alerts_from_events(events, window=args.window)
-        rollup = rollup_from_events(events, bin_width=args.window)
-        metrics = metrics_from_events(events)
+        engine, metrics = WatchEngine(window=args.window), RunMetrics()
+        events = _replay_file(args.replay, engine, rollup, metrics)
         bus_stats = None
         bus_timeline = None
         now = max((float(e.get("t", 0.0)) for e in events), default=None)
@@ -896,7 +879,7 @@ def cmd_watch(args, out) -> int:
         out.write(f"replayed {len(events)} events from {args.replay}\n")
     else:
         from repro.desim import Environment
-        from repro.monitor import RollupCollector, RunWatcher, SpanTracer
+        from repro.monitor import BusCollector, RunWatcher, SpanTracer
         from repro.sweep import get_scenario, list_scenarios
 
         try:
@@ -915,7 +898,7 @@ def cmd_watch(args, out) -> int:
         env = Environment()
         sink = _attach_events_sink(env, args)
         tracer = SpanTracer(env)
-        collector = RollupCollector(env.bus, bin_width=args.window)
+        BusCollector(env.bus, rollup)
         watcher = RunWatcher(env.bus, window=args.window)
         engine = watcher.engine
 
@@ -930,7 +913,7 @@ def cmd_watch(args, out) -> int:
                     last[0] = t
                     write_dashboard(
                         args.out,
-                        collector.rollup,
+                        rollup,
                         bus_stats=env.bus.stats(),
                         title=f"{args.scenario} (live, t={t:.0f}s)",
                         alerts=engine.alerts,
@@ -950,7 +933,6 @@ def cmd_watch(args, out) -> int:
         if sink is not None:
             sink.close()
             out.write(f"recorded {sink.count} events to {sink.path}\n")
-        rollup = collector.rollup
         metrics = None
         bus_stats = env.bus.stats()
         bus_timeline = watcher.bus_timeline

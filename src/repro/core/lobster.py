@@ -140,10 +140,10 @@ class LobsterRun:
         #: Monitoring is bus-driven: the collector subscribes to the
         #: environment's event bus and folds ``task.*`` events into
         #: metrics; this class only *publishes*.
+        self.metrics = RunMetrics()
         self.collector = BusCollector(
-            env.bus, workflows=[wf.label for wf in config.workflows]
+            env.bus, self.metrics, workflows=[wf.label for wf in config.workflows]
         )
-        self.metrics: RunMetrics = self.collector.metrics
         # Merge output names must never collide with ones a previous
         # (crashed) scheduler already committed to this DB — and neither
         # may task ids, which analysis output names embed.

@@ -5,7 +5,7 @@ to the paper's tables and timelines (Figs 8–11), and applies the
 troubleshooting heuristics the Lobster operators used in production.
 """
 
-from .collector import BusCollector, metrics_from_events
+from .collector import BusCollector, replay
 from .context import CMS_2015_RESOURCES, ContextStatement, contextualize
 from .dash import render_dashboard, write_dashboard
 from .export import (
@@ -14,19 +14,11 @@ from .export import (
     export_run,
     load_events,
     load_task_records,
-    records_from_events,
 )
 from .metrics import EventLog, TimeSeries
 from .records import RunMetrics, RuntimeBreakdown, TaskRecord
 from .report import ascii_bar, ascii_timeline, render_report
-from .rollup import (
-    Rollup,
-    RollupCollector,
-    SegmentDigest,
-    rollup_from_events,
-    split_events_by_window,
-    verify_parity,
-)
+from .rollup import Rollup, SegmentDigest, verify_parity
 from .samplers import LinkSampler, sample_links
 from .stats import (
     SegmentStats,
@@ -47,19 +39,12 @@ from .tracing import (
     chrome_trace,
     critical_path,
     format_breakdown,
-    spans_from_events,
     work_coverage,
     write_chrome_trace,
     write_spans_jsonl,
 )
 from .troubleshoot import Diagnosis, EvidenceSpan, diagnose
-from .watch import (
-    DEFAULT_DETECTORS,
-    DetectorSpec,
-    RunWatcher,
-    WatchEngine,
-    alerts_from_events,
-)
+from .watch import DEFAULT_DETECTORS, DetectorSpec, RunWatcher, WatchEngine
 
 __all__ = [
     "TimeSeries",
@@ -84,18 +69,16 @@ __all__ = [
     "export_run",
     "load_task_records",
     "BusCollector",
-    "metrics_from_events",
+    "replay",
     "JsonlSink",
     "CsvSink",
     "load_events",
-    "records_from_events",
     "LinkSampler",
     "sample_links",
     "TraceContext",
     "Span",
     "SpanTracer",
     "SpanStreamBuilder",
-    "spans_from_events",
     "PathSlice",
     "critical_path",
     "attribute",
@@ -107,10 +90,7 @@ __all__ = [
     "write_spans_jsonl",
     "EvidenceSpan",
     "Rollup",
-    "RollupCollector",
     "SegmentDigest",
-    "rollup_from_events",
-    "split_events_by_window",
     "verify_parity",
     "render_dashboard",
     "write_dashboard",
@@ -118,5 +98,4 @@ __all__ = [
     "DEFAULT_DETECTORS",
     "WatchEngine",
     "RunWatcher",
-    "alerts_from_events",
 ]

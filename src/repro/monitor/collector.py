@@ -1,13 +1,23 @@
-"""Bus-driven metric collection (the monitor side of the event bus).
+"""The monitor's one ingest path: live (:class:`BusCollector`) or
+recorded (:func:`replay`).
 
-The monitoring subsystem used to be hand-threaded through the scheduler:
-``LobsterRun`` called ``metrics.add_result`` and copied sample lists out
-of the master.  With the structured event bus the dependency is
-inverted — the substrate layers *publish* typed events and the monitor
-*subscribes*.  :class:`BusCollector` is that subscriber: attach one to
-an environment's bus and it reduces the event stream into a
-:class:`~repro.monitor.records.RunMetrics`, live during the run or
-offline from a recorded JSONL stream (:func:`metrics_from_events`).
+The substrate layers *publish* typed events and the monitor
+*subscribes*.  Every monitor view is a *fold*: an object that reduces
+the event stream into one view —
+:class:`~repro.monitor.records.RunMetrics`,
+:class:`~repro.monitor.rollup.Rollup`,
+:class:`~repro.monitor.watch.WatchEngine`,
+:class:`~repro.monitor.tracing.SpanStreamBuilder`.  A fold names the
+subscription patterns it reduces in a ``TOPICS`` tuple and takes one
+event at a time through ``ingest(topic, t, fields)``.  Two drivers feed
+folds, and nothing else does:
+
+* :class:`BusCollector` attaches one fold to a live bus.  It owns the
+  multi-run workflow filter and the expansion of batched ``net.flow``
+  records, so every fold sees the same events.
+* :func:`replay` routes each event of a recorded stream (JSONL-shaped
+  dicts) to every fold that subscribes to its topic, in a single pass,
+  with the same batch expansion.
 
 Nothing in this module (or anywhere under ``repro.monitor``) imports
 from the scheduler, batch, CVMFS, or storage layers; the bus event
@@ -16,192 +26,134 @@ vocabulary in :class:`repro.desim.bus.Topics` is the entire contract.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
-from ..desim.bus import BusEvent, EventBus, Topics
-from .records import FlowRecord, RunMetrics, TaskRecord
+from ..desim.bus import BusEvent, EventBus, Topics, _matches
 
-__all__ = ["BusCollector", "metrics_from_events"]
+__all__ = ["BusCollector", "replay"]
 
-#: Topics whose events carry a ``running`` field sampling the number of
-#: concurrently executing tasks.
-_RUNNING_TOPICS = (Topics.TASK_START, Topics.TASK_DONE, Topics.TASK_REQUEUE)
+
+def _accepts(workflows: FrozenSet[str], fields: dict) -> bool:
+    """The multi-run filter, applied uniformly to every event.
+
+    Producers stamp either ``workflow`` (a single label) or
+    ``workflows`` (a pool-level label list, e.g. evictions).  Events
+    carrying neither are unattributed and accepted — a filtered
+    collector must not silently drop legacy streams.
+    """
+    workflow = fields.get("workflow")
+    if workflow is not None:
+        return workflow in workflows
+    labels = fields.get("workflows")
+    if labels is not None:
+        return any(w in workflows for w in labels)
+    return True
 
 
 class BusCollector:
-    """Subscribes to a bus and folds task events into ``RunMetrics``."""
+    """Subscribes one fold to a live bus.
+
+    Each pattern in ``fold.TOPICS`` becomes one subscription, in order.
+    Exact topics subscribe raw (the flat record dict, no event object);
+    prefix patterns (``fault.*``, ``integrity.*``, ``alert.*``) stay
+    classic, because a raw subscription needs an exact topic.
+    """
 
     def __init__(
         self,
         bus: EventBus,
-        metrics: Optional[RunMetrics] = None,
+        fold,
         workflows: Optional[Sequence[str]] = None,
     ):
         """*workflows*, when given, restricts ingestion to events
-        attributed to those labels (several runs may share one bus) —
-        applied to results, evictions, exhaustions, fallbacks,
-        duplicates, and integrity events alike.  Unattributed events
-        (no ``workflow``/``workflows`` field) are always accepted."""
+        attributed to those labels (several runs may share one bus).
+        Unattributed events (no ``workflow``/``workflows`` field) are
+        always accepted."""
         self.bus = bus
-        self.metrics = metrics if metrics is not None else RunMetrics()
+        self.fold = fold
         self._workflows = frozenset(workflows) if workflows else None
-        # Flow topics are the hot ones (one record per transfer):
-        # subscribe raw so delivery hands us the record dict without
-        # materialising a BusEvent.
         self._subs = [
-            bus.subscribe(Topics.TASK_RESULT, self._on_result),
-            bus.subscribe(Topics.EVICTION, self._on_eviction),
-            bus.subscribe(Topics.NET_FLOW, self._on_flow, raw=True),
-            bus.subscribe(Topics.NET_FLOW_FAIL, self._on_flow_fail, raw=True),
-            bus.subscribe("fault.*", self._on_fault),
-            bus.subscribe(Topics.HOST_BLACKLIST, self._on_blacklist),
-            bus.subscribe(Topics.TASK_EXHAUSTED, self._on_exhausted),
-            bus.subscribe(Topics.RECOVERY_FALLBACK, self._on_fallback),
-            bus.subscribe(Topics.RECOVERY_RESUME, self._on_resume),
-            bus.subscribe("integrity.*", self._on_integrity),
-            bus.subscribe(Topics.TASK_DUPLICATE, self._on_duplicate),
-            bus.subscribe("alert.*", self._on_alert),
+            bus.subscribe(pattern, self._classic())
+            if pattern.endswith(".*")
+            else bus.subscribe(pattern, self._raw(pattern), raw=True)
+            for pattern in fold.TOPICS
         ]
-        self._subs.extend(
-            bus.subscribe(topic, self._on_running) for topic in _RUNNING_TOPICS
-        )
+
+    def _raw(self, topic: str) -> Callable[[dict], None]:
+        ingest, workflows = self.fold.ingest, self._workflows
+        if topic != Topics.NET_FLOW:
+
+            def deliver(record: dict) -> None:
+                if workflows is None or _accepts(workflows, record):
+                    ingest(topic, record["t"], record)
+
+            return deliver
+
+        # The fabric batches flush narration: one net.flow record may
+        # carry a ``flows`` list of per-flow records.
+        def deliver_flows(record: dict) -> None:
+            if workflows is None or _accepts(workflows, record):
+                t = record["t"]
+                flows = record.get("flows")
+                if flows is None:
+                    ingest(topic, t, record)
+                else:
+                    for rec in flows:
+                        ingest(topic, t, rec)
+
+        return deliver_flows
+
+    def _classic(self) -> Callable[[BusEvent], None]:
+        ingest, workflows = self.fold.ingest, self._workflows
+
+        def deliver(event: BusEvent) -> None:
+            if workflows is None or _accepts(workflows, event.fields):
+                ingest(event.topic, event.time, event.fields)
+
+        return deliver
 
     def close(self) -> None:
-        """Detach from the bus (the metrics remain usable)."""
+        """Detach from the bus (the fold remains usable)."""
         for sub in self._subs:
             sub.cancel()
         self._subs = []
 
-    # -- event handlers -------------------------------------------------------
-    def _accepts(self, fields: dict) -> bool:
-        """Multi-run filter, applied uniformly to every attributed topic.
 
-        Producers stamp either ``workflow`` (a single label) or
-        ``workflows`` (a pool-level label list, e.g. evictions).  Events
-        carrying neither are unattributed and accepted — a filtered
-        collector must not silently drop legacy streams.
-        """
-        if self._workflows is None:
-            return True
-        workflow = fields.get("workflow")
-        if workflow is not None:
-            return workflow in self._workflows
-        workflows = fields.get("workflows")
-        if workflows is not None:
-            return any(w in self._workflows for w in workflows)
-        return True
+def replay(events: Iterable[dict], *folds) -> None:
+    """Feed a recorded event stream to every fold, in one pass.
 
-    def _on_result(self, event: BusEvent) -> None:
-        workflow = event.fields.get("workflow")
-        if self._workflows is not None and workflow not in self._workflows:
-            return
-        self.metrics.add_record(TaskRecord.from_event(event.fields))
-
-    def _on_running(self, event: BusEvent) -> None:
-        running = event.fields.get("running")
-        if running is not None:
-            self.metrics.observe_running(event.time, running)
-
-    def _on_eviction(self, event: BusEvent) -> None:
-        if not self._accepts(event.fields):
-            return
-        self.metrics.evictions_seen += 1
-
-    def _on_flow(self, record: dict) -> None:
-        # The fabric batches flush narration: one net.flow record may
-        # carry a ``flows`` list of per-flow records.  Expand it (and
-        # keep accepting the single-record shape for replayed streams).
-        time = record["t"]
-        flows = record.get("flows")
-        if flows is None:
-            self.metrics.add_flow(FlowRecord.from_event(Topics.NET_FLOW, time, record))
-            return
-        add = self.metrics.add_flow
-        for rec in flows:
-            add(FlowRecord.from_event(Topics.NET_FLOW, time, rec))
-
-    def _on_flow_fail(self, record: dict) -> None:
-        # Failures are emitted per flow, never batched.
-        self.metrics.add_flow(
-            FlowRecord.from_event(Topics.NET_FLOW_FAIL, record["t"], record)
-        )
-
-    def _on_fault(self, event: BusEvent) -> None:
-        self.metrics.record_fault(event.time, event.topic, event.fields)
-
-    def _on_blacklist(self, event: BusEvent) -> None:
-        self.metrics.record_blacklist(event.time, event.fields)
-
-    def _on_exhausted(self, event: BusEvent) -> None:
-        if not self._accepts(event.fields):
-            return
-        self.metrics.tasks_exhausted += 1
-
-    def _on_fallback(self, event: BusEvent) -> None:
-        if not self._accepts(event.fields):
-            return
-        self.metrics.record_fallback(event.time, event.fields)
-
-    def _on_resume(self, event: BusEvent) -> None:
-        if not self._accepts(event.fields):
-            return
-        self.metrics.record_resume(event.time, event.fields)
-
-    def _on_integrity(self, event: BusEvent) -> None:
-        if not self._accepts(event.fields):
-            return
-        self.metrics.record_integrity(event.time, event.topic, event.fields)
-
-    def _on_duplicate(self, event: BusEvent) -> None:
-        if not self._accepts(event.fields):
-            return
-        self.metrics.record_duplicate(event.time, event.fields)
-
-    def _on_alert(self, event: BusEvent) -> None:
-        # Alerts are run-level health transitions, never workflow-scoped.
-        self.metrics.record_alert(event.time, event.topic, event.fields)
-
-
-def metrics_from_events(events: Iterable[dict]) -> RunMetrics:
-    """Rebuild :class:`RunMetrics` from recorded event dicts.
-
-    *events* is an iterable of ``BusEvent.as_dict()``-shaped mappings
-    (e.g. loaded from a JSONL sink) — the offline twin of running a
-    :class:`BusCollector` during the simulation.
+    *events* are ``BusEvent.as_dict()``-shaped mappings (e.g. loaded
+    from a JSONL sink); each goes to every fold whose ``TOPICS`` match
+    its topic, in the order the folds are given — the offline twin of
+    attaching each fold through a :class:`BusCollector`.  A batched
+    ``net.flow`` record is expanded into its flows.  An event missing a
+    field a fold needs raises :class:`ValueError` naming the event's
+    index, topic and key.
     """
-    metrics = RunMetrics()
-    for ev in events:
+    routes: Dict[Optional[str], List[Callable]] = {}
+    for index, ev in enumerate(events):
         topic = ev.get("topic")
-        if topic == Topics.TASK_RESULT:
-            metrics.add_record(TaskRecord.from_event(ev))
-        elif topic in _RUNNING_TOPICS:
-            running = ev.get("running")
-            if running is not None:
-                metrics.observe_running(float(ev.get("t", 0.0)), running)
-        elif topic in (Topics.NET_FLOW, Topics.NET_FLOW_FAIL):
-            t = float(ev.get("t", 0.0))
-            flows = ev.get("flows")
-            if flows is None:
-                metrics.add_flow(FlowRecord.from_event(topic, t, ev))
-            else:
-                for rec in flows:
-                    metrics.add_flow(FlowRecord.from_event(topic, t, rec))
-        elif topic == Topics.EVICTION:
-            metrics.evictions_seen += 1
-        elif topic in (Topics.FAULT_INJECT, Topics.FAULT_CLEAR):
-            metrics.record_fault(float(ev.get("t", 0.0)), topic, ev)
-        elif topic == Topics.HOST_BLACKLIST:
-            metrics.record_blacklist(float(ev.get("t", 0.0)), ev)
-        elif topic == Topics.TASK_EXHAUSTED:
-            metrics.tasks_exhausted += 1
-        elif topic == Topics.RECOVERY_FALLBACK:
-            metrics.record_fallback(float(ev.get("t", 0.0)), ev)
-        elif topic == Topics.RECOVERY_RESUME:
-            metrics.record_resume(float(ev.get("t", 0.0)), ev)
-        elif topic in (Topics.ALERT_RAISE, Topics.ALERT_CLEAR):
-            metrics.record_alert(float(ev.get("t", 0.0)), topic, ev)
-        elif topic is not None and topic.startswith("integrity."):
-            metrics.record_integrity(float(ev.get("t", 0.0)), topic, ev)
-        elif topic == Topics.TASK_DUPLICATE:
-            metrics.record_duplicate(float(ev.get("t", 0.0)), ev)
-    return metrics
+        targets = routes.get(topic)
+        if targets is None:
+            targets = routes[topic] = [
+                fold.ingest
+                for fold in folds
+                if topic is not None
+                and any(_matches(pattern, topic) for pattern in fold.TOPICS)
+            ]
+        if not targets:
+            continue
+        t = float(ev.get("t", 0.0))
+        flows = ev.get("flows") if topic == Topics.NET_FLOW else None
+        records = (ev,) if flows is None else flows
+        for ingest in targets:
+            for rec in records:
+                try:
+                    ingest(topic, t, rec)
+                except KeyError as exc:
+                    key = exc.args[0] if exc.args else None
+                    if key in rec:
+                        raise
+                    raise ValueError(
+                        f"event {index} ({topic}): missing field {key!r}"
+                    ) from None

@@ -17,10 +17,15 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..analysis.report import ExitCode
+from ..analysis.report import ExitCode, exit_code_name
+from ..desim.bus import Topics
 from .metrics import EventLog, TimeSeries
 
 __all__ = ["TaskRecord", "FlowRecord", "RuntimeBreakdown", "RunMetrics"]
+
+#: Topics whose events carry a ``running`` field sampling the number of
+#: concurrently executing tasks.
+_RUNNING_TOPICS = (Topics.TASK_START, Topics.TASK_DONE, Topics.TASK_REQUEUE)
 
 
 @dataclass(frozen=True)
@@ -47,28 +52,6 @@ class TaskRecord:
     @property
     def wall_time(self) -> float:
         return self.finished - self.started
-
-    @classmethod
-    def from_result(cls, workflow: str, result) -> "TaskRecord":
-        """Build a record from a ``TaskResult``-shaped object.
-
-        Duck-typed on purpose: the monitor layer subscribes to the run,
-        it does not import the scheduler's types.
-        """
-        return cls(
-            task_id=result.task.task_id,
-            workflow=workflow,
-            category=result.task.category,
-            exit_code=int(result.exit_code),
-            submitted=result.submitted,
-            started=result.started,
-            finished=result.finished,
-            segments=dict(result.segments),
-            wq_stage_in=result.wq_stage_in,
-            wq_stage_out=result.wq_stage_out,
-            lost_time=result.task.lost_time,
-            output_bytes=(result.report.output_bytes if result.report else 0.0),
-        )
 
     @classmethod
     def from_event(cls, fields: Dict) -> "TaskRecord":
@@ -109,8 +92,6 @@ class FlowRecord:
     @classmethod
     def from_event(cls, topic: str, time: float, fields: Dict) -> "FlowRecord":
         """Build a record from a ``net.flow`` / ``net.flow.fail`` event."""
-        from ..desim.bus import Topics
-
         ok = topic == Topics.NET_FLOW
         nbytes = float(fields.get("nbytes" if ok else "moved", 0.0))
         elapsed = float(fields.get("elapsed", 0.0))
@@ -184,6 +165,22 @@ class RuntimeBreakdown:
 class RunMetrics:
     """Accumulates task records and reduces them to the paper's figures."""
 
+    #: Subscription patterns, in subscription order (see ``BusCollector``).
+    TOPICS = (
+        Topics.TASK_RESULT,
+        Topics.EVICTION,
+        Topics.NET_FLOW,
+        Topics.NET_FLOW_FAIL,
+        "fault.*",
+        Topics.HOST_BLACKLIST,
+        Topics.TASK_EXHAUSTED,
+        Topics.RECOVERY_FALLBACK,
+        Topics.RECOVERY_RESUME,
+        "integrity.*",
+        Topics.TASK_DUPLICATE,
+        "alert.*",
+    ) + _RUNNING_TOPICS
+
     def __init__(self) -> None:
         self.records: List[TaskRecord] = []
         #: (time, value): concurrent running tasks (fed from Master samples).
@@ -226,35 +223,51 @@ class RunMetrics:
         self.alerts: List[tuple] = []
 
     # -- ingestion -------------------------------------------------------------
-    def add_record(self, rec: TaskRecord) -> TaskRecord:
-        """Ingest one flattened task record (the bus-facing entry point)."""
-        self.records.append(rec)
-        self.completions.record(rec.finished, "ok" if rec.succeeded else "failed")
-        if not rec.succeeded:
-            self.failures.record(rec.finished, ExitCode(rec.exit_code).name)
-        elif rec.output_bytes > 0:
-            self.output_log.append((rec.finished, rec.output_bytes))
-        return rec
-
-    def add_result(self, workflow: str, result) -> TaskRecord:
-        """Ingest a ``TaskResult``-shaped object directly (duck-typed)."""
-        return self.add_record(TaskRecord.from_result(workflow, result))
-
-    def add_flow(self, rec: FlowRecord) -> FlowRecord:
-        """Ingest one network flow record."""
-        self.flows.append(rec)
-        return rec
-
-    def observe_running(self, t: float, running: float) -> None:
-        """Append one (time, concurrent running tasks) sample."""
-        if len(self.running) and t < self.running.times[-1]:
-            return
-        self.running.append(t, running)
-
-    def ingest_running_samples(self, samples) -> None:
-        """Copy (time, running) samples from the master."""
-        for t, v in samples:
-            self.observe_running(t, v)
+    def ingest(self, topic: str, t: float, fields: Dict) -> None:
+        """Fold one bus event (a single flow record for ``net.flow``)."""
+        if topic == Topics.NET_FLOW or topic == Topics.NET_FLOW_FAIL:
+            self.flows.append(FlowRecord.from_event(topic, t, fields))
+        elif topic in _RUNNING_TOPICS:
+            running = fields.get("running")
+            if running is not None:
+                try:
+                    self.running.append(t, running)
+                except ValueError:  # older than the last sample: dropped
+                    pass
+        elif topic == Topics.TASK_RESULT:
+            rec = TaskRecord.from_event(fields)
+            self.records.append(rec)
+            self.completions.record(rec.finished, "ok" if rec.succeeded else "failed")
+            if not rec.succeeded:
+                self.failures.record(rec.finished, exit_code_name(rec.exit_code))
+            elif rec.output_bytes > 0:
+                self.output_log.append((rec.finished, rec.output_bytes))
+        elif topic == Topics.EVICTION:
+            self.evictions_seen += 1
+        elif topic == Topics.HOST_BLACKLIST:
+            self.blacklist_log.append(
+                (t, fields.get("host"), bool(fields.get("active", True)))
+            )
+        elif topic == Topics.TASK_EXHAUSTED:
+            self.tasks_exhausted += 1
+        elif topic == Topics.RECOVERY_FALLBACK:
+            self.stream_fallbacks.append((t, dict(fields)))
+        elif topic == Topics.RECOVERY_RESUME:
+            self.recovery_resumes.append((t, dict(fields)))
+        elif topic == Topics.TASK_DUPLICATE:
+            self.duplicates_dropped.append((t, dict(fields)))
+        elif topic == Topics.INTEGRITY_CORRUPT:
+            self.integrity_corrupt.append((t, dict(fields)))
+        elif topic == Topics.INTEGRITY_QUARANTINE:
+            self.integrity_quarantined.append((t, dict(fields)))
+        elif topic == Topics.INTEGRITY_COMMIT:
+            self.integrity_commits += 1
+        elif topic == Topics.INTEGRITY_ORPHAN:
+            self.integrity_orphans.append((t, dict(fields)))
+        elif topic.startswith("fault."):
+            self.faults.append((t, topic, dict(fields)))
+        elif topic.startswith("alert."):
+            self.alerts.append((t, topic, dict(fields)))
 
     # -- Fig 8 ------------------------------------------------------------------
     def runtime_breakdown(self, analysis_only: bool = True) -> RuntimeBreakdown:
@@ -399,28 +412,8 @@ class RunMetrics:
         return b.task_cpu / b.total if b.total > 0 else 0.0
 
     # -- chaos (fault injection & active recovery) ---------------------------
-    def record_fault(self, t: float, topic: str, fields: Dict) -> None:
-        """Ingest one ``fault.inject`` / ``fault.clear`` event."""
-        self.faults.append((t, topic, dict(fields)))
-
-    def record_blacklist(self, t: float, fields: Dict) -> None:
-        """Ingest one ``host.blacklist`` transition."""
-        self.blacklist_log.append(
-            (t, fields.get("host"), bool(fields.get("active", True)))
-        )
-
-    def record_fallback(self, t: float, fields: Dict) -> None:
-        """Ingest one ``recovery.fallback`` (streaming→staging) event."""
-        self.stream_fallbacks.append((t, dict(fields)))
-
-    def record_resume(self, t: float, fields: Dict) -> None:
-        """Ingest one ``recovery.resume`` (warm-restart re-attach) event."""
-        self.recovery_resumes.append((t, dict(fields)))
-
     @property
     def n_faults_injected(self) -> int:
-        from ..desim.bus import Topics
-
         return sum(1 for _, topic, _f in self.faults if topic == Topics.FAULT_INJECT)
 
     def hosts_blacklisted(self) -> List[str]:
@@ -441,40 +434,6 @@ class RunMetrics:
         )
 
     # -- integrity & exactly-once ---------------------------------------------
-    def record_integrity(self, t: float, topic: str, fields: Dict) -> None:
-        """Ingest one ``integrity.*`` event, dispatched on the topic."""
-        from ..desim.bus import Topics
-
-        if topic == Topics.INTEGRITY_CORRUPT:
-            self.integrity_corrupt.append((t, dict(fields)))
-        elif topic == Topics.INTEGRITY_QUARANTINE:
-            self.integrity_quarantined.append((t, dict(fields)))
-        elif topic == Topics.INTEGRITY_COMMIT:
-            self.integrity_commits += 1
-        elif topic == Topics.INTEGRITY_ORPHAN:
-            self.integrity_orphans.append((t, dict(fields)))
-
-    def record_duplicate(self, t: float, fields: Dict) -> None:
-        """Ingest one ``task.duplicate`` (late/replayed result dropped)."""
-        self.duplicates_dropped.append((t, dict(fields)))
-
-    # -- live run health --------------------------------------------------------
-    def record_alert(self, t: float, topic: str, fields: Dict) -> None:
-        """Ingest one ``alert.raise`` / ``alert.clear`` event."""
-        self.alerts.append((t, topic, dict(fields)))
-
-    @property
-    def n_alerts_raised(self) -> int:
-        from ..desim.bus import Topics
-
-        return sum(1 for _, topic, _f in self.alerts if topic == Topics.ALERT_RAISE)
-
-    @property
-    def n_alerts_cleared(self) -> int:
-        from ..desim.bus import Topics
-
-        return sum(1 for _, topic, _f in self.alerts if topic == Topics.ALERT_CLEAR)
-
     def has_integrity_data(self) -> bool:
         return bool(
             self.integrity_corrupt
@@ -483,3 +442,12 @@ class RunMetrics:
             or self.integrity_orphans
             or self.duplicates_dropped
         )
+
+    # -- live run health --------------------------------------------------------
+    @property
+    def n_alerts_raised(self) -> int:
+        return sum(1 for _, topic, _f in self.alerts if topic == Topics.ALERT_RAISE)
+
+    @property
+    def n_alerts_cleared(self) -> int:
+        return sum(1 for _, topic, _f in self.alerts if topic == Topics.ALERT_CLEAR)

@@ -13,7 +13,7 @@ from typing import List
 
 import numpy as np
 
-from ..analysis.report import ExitCode
+from ..analysis.report import exit_code_name
 from .records import RunMetrics
 from .stats import all_segment_stats
 from .troubleshoot import diagnose
@@ -124,7 +124,7 @@ def render_report(run, bin_width: float = 1800.0) -> str:
         by_code = {}
         for r in m.records:
             if not r.succeeded:
-                name = ExitCode(r.exit_code).name
+                name = exit_code_name(r.exit_code)
                 by_code[name] = by_code.get(name, 0) + 1
         for name, n in sorted(by_code.items(), key=lambda kv: -kv[1]):
             push(f"  {name:<22s} {n:6d}")

@@ -18,7 +18,8 @@ Two event streams complete the picture:
 
 * the tracer *publishes* ``span.start`` / ``span.end`` bus events for
   every span it creates, so a JSONL recording of a traced run contains
-  the full span stream (``spans_from_events`` rebuilds it offline);
+  the full span stream (:class:`SpanStreamBuilder` rebuilds it
+  offline);
 * the tracer *subscribes* to substrate topics that carry trace fields
   (``net.flow``, ``chirp.queue``, ``cache.miss``, ``integrity.*``,
   ``fault.*``, ...) and materialises child spans or annotations from
@@ -28,12 +29,12 @@ Two event streams complete the picture:
 from __future__ import annotations
 
 from itertools import count
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ...desim.bus import BusEvent, Topics
 from .context import Span, TraceContext
 
-__all__ = ["SpanTracer", "SpanStreamBuilder", "spans_from_events", "ROOT_NAMES"]
+__all__ = ["SpanTracer", "SpanStreamBuilder", "ROOT_NAMES"]
 
 #: Span names allowed to have no parent (the roots of span trees).
 ROOT_NAMES = ("unit", "run")
@@ -409,45 +410,49 @@ class SpanTracer:
 
 
 class SpanStreamBuilder:
-    """Incremental span materialisation from a recorded event stream.
+    """Incremental span materialisation from the ``span.*`` event stream.
 
-    Feed it ``BusEvent.as_dict()``-shaped mappings one at a time (a
-    JSONL line, a live sink callback); it keeps only the spans still
-    open plus the finished list — never a raw-event buffer — so memory
-    is proportional to spans, not kernel events.  Non-span topics are
-    ignored, so the full event stream can be piped through unfiltered.
+    A monitor fold: attach it live through a ``BusCollector`` or feed a
+    JSONL recording with ``replay``.  Only ``span.start`` /
+    ``span.end`` events are needed — the tracer publishes those for
+    every span it creates, so the rebuilt list matches the live
+    ``tracer.spans`` exactly: same spans, same ids, same order.  It
+    keeps only the spans still open plus the finished list — never a
+    raw-event buffer — so memory is proportional to spans, not kernel
+    events.
     """
 
     __slots__ = ("_open", "done")
+
+    TOPICS = (Topics.SPAN_START, Topics.SPAN_END)
 
     def __init__(self) -> None:
         self._open: Dict[int, Span] = {}
         #: Finished spans in close order (matches the live tracer).
         self.done: List[Span] = []
 
-    def feed(self, ev: dict) -> None:
-        """Consume one recorded event dict."""
-        topic = ev.get("topic")
+    def ingest(self, topic: str, t: float, fields: dict) -> None:
+        """Consume one ``span.start`` / ``span.end`` event."""
         if topic == Topics.SPAN_START:
-            attrs = {k: v for k, v in ev.items() if k not in _CORE_KEYS}
+            attrs = {k: v for k, v in fields.items() if k not in _CORE_KEYS}
             span = Span(
-                ev["span"],
-                ev["trace"],
-                ev.get("parent"),
-                ev["name"],
-                float(ev.get("start", ev.get("t", 0.0))),
-                links=tuple(ev.get("links", ())),
+                fields["span"],
+                fields["trace"],
+                fields.get("parent"),
+                fields["name"],
+                float(fields.get("start", t)),
+                links=tuple(fields.get("links", ())),
                 attrs=attrs,
             )
             self._open[span.span_id] = span
         elif topic == Topics.SPAN_END:
-            span = self._open.pop(ev.get("span"), None)
+            span = self._open.pop(fields.get("span"), None)
             if span is None:
                 return
-            span.end = float(ev.get("end", ev.get("t", 0.0)))
-            span.status = ev.get("status", "ok")
+            span.end = float(fields.get("end", t))
+            span.status = fields.get("status", "ok")
             span.attrs.update(
-                {k: v for k, v in ev.items() if k not in _CORE_KEYS}
+                {k: v for k, v in fields.items() if k not in _CORE_KEYS}
             )
             self.done.append(span)
 
@@ -459,20 +464,3 @@ class SpanStreamBuilder:
         """The span list so far: finished spans, then any never closed
         (a recording cut mid-run), ordered by span id."""
         return self.done + sorted(self._open.values(), key=lambda s: s.span_id)
-
-
-def spans_from_events(events: Iterable[dict]) -> List[Span]:
-    """Rebuild the span list from recorded event dicts.
-
-    *events* is an iterable of ``BusEvent.as_dict()``-shaped mappings
-    (e.g. from a :class:`~repro.monitor.export.JsonlSink` recording of a
-    traced run).  Only ``span.start`` / ``span.end`` events are needed:
-    the tracer publishes those for every span it creates, so the
-    offline reconstruction matches the live ``tracer.spans`` exactly —
-    same spans, same ids, same order.  Streaming callers should use
-    :class:`SpanStreamBuilder` directly and avoid buffering the raw
-    events at all."""
-    builder = SpanStreamBuilder()
-    for ev in events:
-        builder.feed(ev)
-    return builder.result()

@@ -1,6 +1,7 @@
 """Tests for the command-line interface and the profile catalog."""
 
 import io
+import json
 
 import pytest
 
@@ -99,3 +100,56 @@ def test_cli_simulate_small():
     )
     assert code == 0
     assert "LOBSTER RUN REPORT" in text
+
+
+# ---------------------------------------------------------------- foreign recordings
+REPLAY_COMMANDS = (
+    ["events"],
+    ["trace", "--replay"],
+    ["dash", "--replay"],
+    ["watch", "--replay"],
+)
+
+
+def _replay_argv(command, path, tmp_path):
+    argv = command + [str(path)]
+    if command[0] in ("dash", "watch"):
+        argv += ["--out", str(tmp_path / "dash.html")]
+    return argv
+
+
+def _one_line_recording(tmp_path, **overrides):
+    """A recording of a single ``task.result``; a None override drops
+    that field."""
+    fields = dict(
+        t=100.0, topic="task.result", workflow="wf", task_id=1,
+        category="analysis", exit_code=0, submitted=0.0, started=10.0,
+        finished=100.0, segments={"cpu": 60.0}, wq_stage_in=0.0,
+        wq_stage_out=0.0, lost_time=0.0, output_bytes=0.0,
+    )
+    fields.update(overrides)
+    path = tmp_path / "foreign.jsonl"
+    path.write_text(
+        json.dumps({k: v for k, v in fields.items() if v is not None}) + "\n"
+    )
+    return path
+
+
+@pytest.mark.parametrize("command", REPLAY_COMMANDS, ids=lambda c: c[0])
+def test_replay_accepts_exit_code_outside_the_enum(tmp_path, command):
+    path = _one_line_recording(tmp_path, exit_code=999)
+    code, text = run_cli(_replay_argv(command, path, tmp_path))
+    assert code == 0
+    if command == ["events"]:
+        assert "(0 ok, 1 failed)" in text
+
+
+@pytest.mark.parametrize("command", REPLAY_COMMANDS, ids=lambda c: c[0])
+def test_replay_names_a_missing_field_in_one_line(tmp_path, command):
+    path = _one_line_recording(tmp_path, category=None)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(_replay_argv(command, path, tmp_path))
+    message = exc.value.code
+    assert isinstance(message, str)  # printed to stderr, exit status 1
+    assert "event 0 (task.result): missing field 'category'" in message
+    assert "\n" not in message

@@ -16,7 +16,8 @@ from repro.cli import main
 from repro.desim import Environment, EventBus, Topics
 from repro.monitor import (
     BusCollector,
-    RollupCollector,
+    Rollup,
+    RunMetrics,
     SpanTracer,
     render_dashboard,
     write_dashboard,
@@ -45,14 +46,15 @@ def chaos_artifacts():
     """One small faulty run shared by the rendering tests."""
     env = Environment()
     tracer = SpanTracer(env)
-    collector = RollupCollector(env.bus)
+    rollup = Rollup()
+    BusCollector(env.bus, rollup)
     prepared = prepare_chaos(
         files=15, machines=6, cores=4, seed=7,
         bit_rot=1, truncate=1, duplicates=1, env=env,
     )
     execute_prepared(prepared, settle=300.0)
     tracer.finalize()
-    return collector.rollup, prepared.run.metrics, list(tracer.spans), env
+    return rollup, prepared.run.metrics, list(tracer.spans), env
 
 
 # -------------------------------------------------------------- renderer
@@ -220,13 +222,14 @@ def test_telemetry_panel_reports_true_bus_totals():
     """The dashboard's bus figures must include port/raw emits (the
     fast paths legacy counters used to miss)."""
     bus = EventBus()
-    BusCollector(bus)  # subscribes the full monitoring topic set
-    rollup_collector = RollupCollector(bus)
+    BusCollector(bus, RunMetrics())  # subscribes the full monitoring topic set
+    rollup = Rollup()
+    BusCollector(bus, rollup)
     port = bus.port(Topics.TASK_START)
     for i in range(5):
         port.emit(running=i)
     stats = bus.stats()
     assert stats["published"] == 5
     assert stats["delivered"] > 0
-    html = render_dashboard(rollup_collector.rollup, bus_stats=stats)
+    html = render_dashboard(rollup, bus_stats=stats)
     assert f"{stats['published']:,}" in html or str(stats["published"]) in html

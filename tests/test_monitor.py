@@ -1,16 +1,18 @@
 """Tests for monitoring: time series, records, breakdown, troubleshooting."""
 
+from itertools import count
+
 import numpy as np
 import pytest
 
 from repro.analysis.report import ExitCode
+from repro.desim import Topics
 from repro.monitor import (
     EventLog,
     RunMetrics,
     TimeSeries,
     diagnose,
 )
-from repro.wq.task import Task, TaskResult
 
 
 # ---------------------------------------------------------------- TimeSeries
@@ -80,6 +82,9 @@ def test_eventlog_rate():
 
 
 # ---------------------------------------------------------------- RunMetrics
+_task_ids = count(1)
+
+
 def fake_result(
     exit_code=ExitCode.SUCCESS,
     started=0.0,
@@ -87,27 +92,39 @@ def fake_result(
     segments=None,
     lost_time=0.0,
     category="analysis",
+    output_bytes=0.0,
 ):
-    task = Task(executor=lambda w, t: iter(()), category=category)
-    task.lost_time = lost_time
-    return TaskResult(
-        task=task,
-        exit_code=exit_code,
-        worker_id="w",
+    """The fields of one ``task.result`` bus event."""
+    return dict(
+        workflow="wf",
+        task_id=next(_task_ids),
+        category=category,
+        exit_code=int(exit_code),
         submitted=0.0,
         started=started,
         finished=finished,
         segments=segments or {"cpu": 70.0, "io": 20.0, "setup": 5.0},
         wq_stage_in=3.0,
         wq_stage_out=2.0,
+        lost_time=lost_time,
+        output_bytes=output_bytes,
     )
+
+
+def feed(metrics, fields):
+    metrics.ingest(Topics.TASK_RESULT, fields["finished"], fields)
+
+
+def feed_running(metrics, samples):
+    for t, running in samples:
+        metrics.ingest(Topics.TASK_START, t, {"running": running})
 
 
 def test_runtime_breakdown_buckets():
     m = RunMetrics()
-    m.add_result("wf", fake_result())
-    m.add_result(
-        "wf",
+    feed(m, fake_result())
+    feed(
+        m,
         fake_result(exit_code=ExitCode.FILE_READ_FAILED, started=0.0, finished=50.0),
     )
     b = m.runtime_breakdown()
@@ -124,22 +141,22 @@ def test_runtime_breakdown_buckets():
 
 def test_breakdown_counts_lost_time_as_failed():
     m = RunMetrics()
-    m.add_result("wf", fake_result(lost_time=30.0))
+    feed(m, fake_result(lost_time=30.0))
     b = m.runtime_breakdown()
     assert b.task_failed == pytest.approx(30.0)
 
 
 def test_breakdown_excludes_merge_tasks_by_default():
     m = RunMetrics()
-    m.add_result("wf", fake_result(category="merge"))
+    feed(m, fake_result(category="merge"))
     b = m.runtime_breakdown()
     assert b.total == 0.0
 
 
 def test_efficiency_timeline_shape():
     m = RunMetrics()
-    m.add_result("wf", fake_result(started=0.0, finished=95.0))
-    m.add_result("wf", fake_result(started=100.0, finished=250.0))
+    feed(m, fake_result(started=0.0, finished=95.0))
+    feed(m, fake_result(started=100.0, finished=250.0))
     starts, eff = m.efficiency_timeline(100.0)
     assert len(starts) == len(eff)
     # Bin 0 holds the first task: cpu 70 / wall 95.
@@ -149,8 +166,8 @@ def test_efficiency_timeline_shape():
 
 def test_counts_and_overall_efficiency():
     m = RunMetrics()
-    m.add_result("wf", fake_result())
-    m.add_result("wf", fake_result(exit_code=ExitCode.SETUP_FAILED))
+    feed(m, fake_result())
+    feed(m, fake_result(exit_code=ExitCode.SETUP_FAILED))
     assert m.n_tasks == 2
     assert m.n_succeeded() == 1
     assert m.n_failed() == 1
@@ -159,8 +176,8 @@ def test_counts_and_overall_efficiency():
 
 def test_segment_timeline():
     m = RunMetrics()
-    m.add_result("wf", fake_result(finished=10.0, segments={"setup": 100.0}))
-    m.add_result("wf", fake_result(finished=20.0, segments={"setup": 50.0}))
+    feed(m, fake_result(finished=10.0, segments={"setup": 100.0}))
+    feed(m, fake_result(finished=20.0, segments={"setup": 50.0}))
     t, v = m.segment_timeline("setup")
     assert list(t) == [10.0, 20.0]
     assert list(v) == [100.0, 50.0]
@@ -168,27 +185,42 @@ def test_segment_timeline():
 
 def test_failure_codes_timeline():
     m = RunMetrics()
-    m.add_result("wf", fake_result(exit_code=ExitCode.SETUP_FAILED, finished=5.0))
+    feed(m, fake_result(exit_code=ExitCode.SETUP_FAILED, finished=5.0))
     timeline = m.failure_codes_timeline()
     assert timeline == [(5.0, "SETUP_FAILED")]
 
 
-def test_ingest_running_samples():
+def test_running_samples_ingested():
     m = RunMetrics()
-    m.ingest_running_samples([(0.0, 1), (5.0, 2), (10.0, 1)])
+    feed_running(m, [(0.0, 1), (5.0, 2), (10.0, 1)])
+    assert m.running.at(6.0) == 2
+
+
+def test_running_samples_drop_out_of_order_without_copying(monkeypatch):
+    """Each sample checks order against the last list element, never by
+    materialising ``TimeSeries.times`` (a full copy per sample)."""
+
+    def no_copy(self):
+        raise AssertionError("TimeSeries.times copied on ingest")
+
+    monkeypatch.setattr(TimeSeries, "times", property(no_copy))
+    m = RunMetrics()
+    feed_running(m, [(0.0, 1), (5.0, 2), (3.0, 7), (10.0, 1)])
+    assert len(m.running) == 3
+    assert m.running.at(4.0) == 1
     assert m.running.at(6.0) == 2
 
 
 # ---------------------------------------------------------------- diagnose
 def test_diagnose_clean_run_is_quiet():
     m = RunMetrics()
-    m.add_result("wf", fake_result())
+    feed(m, fake_result())
     assert diagnose(m) == []
 
 
 def test_diagnose_high_lost_runtime():
     m = RunMetrics()
-    m.add_result("wf", fake_result(lost_time=1000.0))
+    feed(m, fake_result(lost_time=1000.0))
     ds = diagnose(m)
     assert any(d.symptom == "high-lost-runtime" for d in ds)
     assert any("task size" in d.suggestion for d in ds)
@@ -197,8 +229,8 @@ def test_diagnose_high_lost_runtime():
 def test_diagnose_slow_setup():
     m = RunMetrics()
     for _ in range(3):
-        m.add_result(
-            "wf", fake_result(segments={"cpu": 100.0, "setup": 2000.0})
+        feed(
+            m, fake_result(segments={"cpu": 100.0, "setup": 2000.0})
         )
     ds = diagnose(m)
     assert any(d.symptom == "slow-environment-setup" for d in ds)
@@ -207,8 +239,8 @@ def test_diagnose_slow_setup():
 
 def test_diagnose_slow_chirp():
     m = RunMetrics()
-    m.add_result(
-        "wf",
+    feed(
+        m,
         fake_result(segments={"cpu": 10.0, "stage_in": 200.0, "stage_out": 200.0}),
     )
     ds = diagnose(m)
@@ -219,8 +251,8 @@ def test_diagnose_slow_chirp():
 def test_diagnose_slow_sandbox_stage_in():
     m = RunMetrics()
     r = fake_result()
-    r.wq_stage_in = 500.0
-    m.add_result("wf", r)
+    r["wq_stage_in"] = 500.0
+    feed(m, r)
     ds = diagnose(m)
     assert any(d.symptom == "slow-sandbox-stage-in" for d in ds)
     assert any("foremen" in d.suggestion for d in ds)
@@ -310,24 +342,16 @@ def test_contextualize_validation():
 
 def test_output_written_cumulative():
     m = RunMetrics()
-    r1 = fake_result(finished=10.0)
-    r1.report = None
-    m.add_result("wf", fake_result(finished=10.0))
-    # fake_result has no report → output_bytes 0; craft records with output.
-    from repro.wq.task import Task as _Task, TaskResult as _TR
-    from repro.analysis.report import FrameworkReport
+    feed(m, fake_result(finished=10.0))
+    # fake_result writes no output by default; craft records with output.
 
     def with_output(finished, nbytes):
-        task = _Task(executor=lambda w, t: iter(()), category="analysis")
-        return _TR(
-            task=task, exit_code=ExitCode.SUCCESS, worker_id="w",
-            submitted=0.0, started=0.0, finished=finished,
-            segments={"cpu": 1.0},
-            report=FrameworkReport(output_bytes=nbytes),
+        return fake_result(
+            finished=finished, segments={"cpu": 1.0}, output_bytes=nbytes
         )
 
-    m.add_result("wf", with_output(20.0, 100.0))
-    m.add_result("wf", with_output(40.0, 50.0))
+    feed(m, with_output(20.0, 100.0))
+    feed(m, with_output(40.0, 50.0))
     times, cum = m.output_written()
     assert list(times) == [20.0, 40.0]
     assert list(cum) == [100.0, 150.0]
@@ -347,9 +371,9 @@ def test_export_run_writes_csvs(tmp_path):
     from repro.monitor import export_run, load_task_records
 
     m = RunMetrics()
-    m.add_result("wf", fake_result(started=0.0, finished=95.0))
-    m.add_result("wf", fake_result(exit_code=ExitCode.SETUP_FAILED, finished=40.0))
-    m.ingest_running_samples([(0.0, 1), (50.0, 2)])
+    feed(m, fake_result(started=0.0, finished=95.0))
+    feed(m, fake_result(exit_code=ExitCode.SETUP_FAILED, finished=40.0))
+    feed_running(m, [(0.0, 1), (50.0, 2)])
     paths = export_run(m, str(tmp_path), bin_width=50.0)
     assert set(paths) == {"tasks", "segments", "timeline", "breakdown"}
     for p in paths.values():

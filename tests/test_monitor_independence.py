@@ -83,10 +83,10 @@ def test_collector_feeds_metrics_from_bus_events():
     """End-to-end inversion check: publishing the scheduler's topics onto
     a bare bus (no scheduler imported) populates RunMetrics."""
     from repro.desim import EventBus, Topics
-    from repro.monitor import BusCollector
+    from repro.monitor import BusCollector, RunMetrics
 
     bus = EventBus()
-    collector = BusCollector(bus)
+    collector = BusCollector(bus, RunMetrics())
     bus.publish(Topics.TASK_START, _time=1.0, running=1)
     bus.publish(
         Topics.TASK_RESULT,
@@ -107,7 +107,7 @@ def test_collector_feeds_metrics_from_bus_events():
     bus.publish(Topics.TASK_DONE, _time=9.0, task_id=1, ok=True, running=0)
     bus.publish(Topics.EVICTION, _time=10.0, slot="slot0")
 
-    m = collector.metrics
+    m = collector.fold
     assert m.n_tasks == 1 and m.n_succeeded() == 1
     assert m.records[0].segments["cpu"] == 7.0
     assert list(zip(m.running.times, m.running.values)) == [(1.0, 1.0), (9.0, 0.0)]
@@ -120,10 +120,10 @@ def test_collector_feeds_metrics_from_bus_events():
 
 def test_collector_workflow_filter():
     from repro.desim import EventBus, Topics
-    from repro.monitor import BusCollector
+    from repro.monitor import BusCollector, RunMetrics
 
     bus = EventBus()
-    mine = BusCollector(bus, workflows=["wf-a"])
+    mine = BusCollector(bus, RunMetrics(), workflows=["wf-a"])
     fields = dict(
         category="analysis",
         exit_code=0,
@@ -138,13 +138,13 @@ def test_collector_workflow_filter():
     )
     bus.publish(Topics.TASK_RESULT, _time=1.0, workflow="wf-a", task_id=1, **fields)
     bus.publish(Topics.TASK_RESULT, _time=1.0, workflow="wf-b", task_id=2, **fields)
-    assert [r.task_id for r in mine.metrics.records] == [1]
+    assert [r.task_id for r in mine.fold.records] == [1]
 
 
-def test_metrics_from_events_round_trips_jsonl(tmp_path):
+def test_replayed_metrics_round_trip_jsonl(tmp_path):
     """Record events through a JsonlSink, reload, rebuild metrics."""
     from repro.desim import EventBus, Topics
-    from repro.monitor import JsonlSink, load_events, metrics_from_events
+    from repro.monitor import JsonlSink, RunMetrics, load_events, replay
 
     path = tmp_path / "events.jsonl"
     bus = EventBus()
@@ -169,7 +169,8 @@ def test_metrics_from_events_round_trips_jsonl(tmp_path):
         )
     events = load_events(str(path))
     assert sink.count == len(events) == 2
-    m = metrics_from_events(events)
+    m = RunMetrics()
+    replay(events, m)
     assert m.n_tasks == 1
     assert m.records[0].task_id == 4
     assert m.records[0].segments == {"cpu": 3.0}
@@ -182,11 +183,11 @@ def test_two_filtered_collectors_one_bus_split_attributed_events():
     duplicates — not just its own task results.  Unattributed (legacy)
     events reach both."""
     from repro.desim import EventBus, Topics
-    from repro.monitor import BusCollector
+    from repro.monitor import BusCollector, RunMetrics
 
     bus = EventBus()
-    a = BusCollector(bus, workflows=["wf-a"])
-    b = BusCollector(bus, workflows=["wf-b"])
+    a = BusCollector(bus, RunMetrics(), workflows=["wf-a"])
+    b = BusCollector(bus, RunMetrics(), workflows=["wf-b"])
 
     # Single-label producers stamp ``workflow=``.
     bus.publish(Topics.TASK_EXHAUSTED, _time=1.0, workflow="wf-a", task_id=1)
@@ -204,16 +205,16 @@ def test_two_filtered_collectors_one_bus_split_attributed_events():
     bus.publish(Topics.EVICTION, _time=8.0, slot="legacy")
     bus.publish(Topics.TASK_EXHAUSTED, _time=9.0, task_id=9)
 
-    assert a.metrics.tasks_exhausted == 2  # wf-a + unattributed
-    assert b.metrics.tasks_exhausted == 1  # unattributed only
-    assert len(a.metrics.duplicates_dropped) == 0
-    assert len(b.metrics.duplicates_dropped) == 1
-    assert len(a.metrics.stream_fallbacks) == 1
-    assert len(b.metrics.stream_fallbacks) == 0
-    assert len(a.metrics.integrity_corrupt) == 0
-    assert len(b.metrics.integrity_corrupt) == 1
-    assert a.metrics.evictions_seen == 3  # s0 + shared + legacy
-    assert b.metrics.evictions_seen == 3  # s1 + shared + legacy
+    assert a.fold.tasks_exhausted == 2  # wf-a + unattributed
+    assert b.fold.tasks_exhausted == 1  # unattributed only
+    assert len(a.fold.duplicates_dropped) == 0
+    assert len(b.fold.duplicates_dropped) == 1
+    assert len(a.fold.stream_fallbacks) == 1
+    assert len(b.fold.stream_fallbacks) == 0
+    assert len(a.fold.integrity_corrupt) == 0
+    assert len(b.fold.integrity_corrupt) == 1
+    assert a.fold.evictions_seen == 3  # s0 + shared + legacy
+    assert b.fold.evictions_seen == 3  # s1 + shared + legacy
 
 
 def test_pool_evictions_are_workflow_attributed_end_to_end():
@@ -222,7 +223,7 @@ def test_pool_evictions_are_workflow_attributed_end_to_end():
     from repro.batch import CondorPool, GlideinRequest, MachinePool
     from repro.desim import Environment, Interrupt, Topics
     from repro.distributions import ConstantHazardEviction
-    from repro.monitor import BusCollector
+    from repro.monitor import BusCollector, RunMetrics
 
     HOUR = 3600.0
     env = Environment()
@@ -234,8 +235,8 @@ def test_pool_evictions_are_workflow_attributed_end_to_end():
         seed=3,
         workflows=["wf-a"],
     )
-    mine = BusCollector(env.bus, workflows=["wf-a"])
-    other = BusCollector(env.bus, workflows=["wf-z"])
+    mine = BusCollector(env.bus, RunMetrics(), workflows=["wf-a"])
+    other = BusCollector(env.bus, RunMetrics(), workflows=["wf-z"])
     seen = []
     env.bus.subscribe(Topics.EVICTION, lambda ev: seen.append(ev.fields))
 
@@ -253,5 +254,5 @@ def test_pool_evictions_are_workflow_attributed_end_to_end():
 
     assert pool.total_evictions >= 2
     assert seen and all(f.get("workflows") == ["wf-a"] for f in seen)
-    assert mine.metrics.evictions_seen == pool.total_evictions
-    assert other.metrics.evictions_seen == 0
+    assert mine.fold.evictions_seen == pool.total_evictions
+    assert other.fold.evictions_seen == 0

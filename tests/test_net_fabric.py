@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import Services
 from repro.desim import Environment, FairShareLink, Topics, TransferCancelled
-from repro.monitor import BusCollector
+from repro.monitor import BusCollector, RunMetrics
 from repro.net import (
     Fabric,
     LinkDown,
@@ -183,13 +183,13 @@ def test_per_class_byte_accounting():
 
 def test_net_flow_events_feed_bus_collector():
     env = Environment()
-    collector = BusCollector(env.bus)
+    collector = BusCollector(env.bus, RunMetrics())
     fabric = Fabric(env)
     link = fabric.attach("l", 100.0)
     link.transfer(60.0, cls=TrafficClass.XROOTD)
     link.transfer(40.0, cls=TrafficClass.OUTPUT)
     env.run()
-    m = collector.metrics
+    m = collector.fold
     assert len(m.flows) == 2
     totals = m.flow_bytes_by_class()
     assert totals[TrafficClass.XROOTD] == pytest.approx(60.0)

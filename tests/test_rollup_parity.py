@@ -2,12 +2,16 @@
 
 The :class:`~repro.monitor.Rollup` mirrors every accumulation the exact
 :class:`~repro.monitor.RunMetrics` path performs, expression for
-expression, so its windowed timelines must be *bit* identical — not
-approximately equal — on real runs.  These tests drive both collectors
-off the same bus for the quickstart, chaos, and corruption scenarios
-and compare bin-for-bin, then pin down the degenerate cases (empty run,
-single event) where off-by-one window arithmetic likes to hide.
+expression and in arrival order, so its windowed timelines and float
+totals must be *bit* identical — not approximately equal — on real
+runs.  These tests drive both folds off the same bus for the
+quickstart, chaos, and corruption scenarios and compare bin-for-bin,
+check that every fold fed from a recording by ``replay()`` equals the
+same fold attached live, then pin down the degenerate cases (empty
+run, single event) where off-by-one window arithmetic likes to hide.
 """
+
+from collections import deque
 
 import numpy as np
 import pytest
@@ -15,22 +19,29 @@ import pytest
 from repro.desim import Environment, EventBus, Topics
 from repro.monitor import (
     BusCollector,
+    JsonlSink,
     Rollup,
-    RollupCollector,
-    rollup_from_events,
+    RunMetrics,
+    RunWatcher,
+    SpanStreamBuilder,
+    SpanTracer,
+    WatchEngine,
+    load_events,
+    replay,
     verify_parity,
 )
 from repro.scenarios import execute_prepared, prepare_chaos, prepare_quickstart
 
 
 def _run_with_both_collectors(prepare, **kwargs):
-    """Execute a scenario with the streaming and exact collectors attached
+    """Execute a scenario with the streaming and exact folds attached
     to the same bus; returns (rollup, metrics)."""
     env = Environment()
-    streaming = RollupCollector(env.bus)
+    rollup = Rollup()
+    BusCollector(env.bus, rollup)
     prepared = prepare(env=env, **kwargs)
     execute_prepared(prepared, settle=300.0)
-    return streaming.rollup, prepared.run.metrics
+    return rollup, prepared.run.metrics
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +121,8 @@ def test_rollup_memory_is_windows_not_events():
     population — retention is O(occupied windows), never O(events)."""
     def fill(n_tasks):
         bus = EventBus()
-        streaming = RollupCollector(bus)
+        rollup = Rollup()
+        BusCollector(bus, rollup)
         for task_id in range(n_tasks):
             finished = 100.0 + (task_id % 7)  # all within window 0
             bus.publish(
@@ -138,7 +150,7 @@ def test_rollup_memory_is_windows_not_events():
                 src="w",
                 dst="se",
             )
-        return streaming.rollup
+        return rollup
 
     sparse, dense = fill(10), fill(500)
     assert dense.events_seen == 50 * sparse.events_seen
@@ -146,29 +158,76 @@ def test_rollup_memory_is_windows_not_events():
 
 
 # ------------------------------------------------------------- replay twin
-def test_replayed_rollup_matches_live(tmp_path, quickstart_pair):
-    """rollup_from_events over a JSONL recording == live RollupCollector."""
-    from repro.monitor import JsonlSink, load_events
+def _state(x, envelope=()):
+    """A comparable snapshot of a fold's state (callbacks excluded).
 
+    *envelope* keys are dropped from stored field dicts: a live raw
+    record carries its ``t`` stamp, a recorded event also its topic.
+    """
+    if isinstance(x, np.ndarray):
+        return (x.dtype.str, x.tolist())
+    if isinstance(x, dict):
+        return {k: _state(v, envelope) for k, v in x.items() if k not in envelope}
+    if isinstance(x, (list, tuple, deque)):
+        return [_state(v, envelope) for v in x]
+    if isinstance(x, (set, frozenset)):
+        return sorted(x)
+    if x is None or isinstance(x, (str, int, float)):
+        return x
+    if callable(x):
+        return None
+    if hasattr(x, "__dict__"):
+        return (type(x).__name__, _state(vars(x), envelope))
+    slots = type(x).__slots__
+    return (type(x).__name__, _state({s: getattr(x, s) for s in slots}, envelope))
+
+
+@pytest.fixture(scope="module")
+def recorded_chaos(tmp_path_factory):
+    """One chaos run with every fold attached live, plus its recording."""
+    path = tmp_path_factory.mktemp("chaos") / "events.jsonl"
     env = Environment()
-    sink = JsonlSink(str(tmp_path / "events.jsonl"))
+    sink = JsonlSink(str(path))
     env.bus.attach(sink)
-    live = RollupCollector(env.bus)
-    prepared = prepare_quickstart(events=20_000, workers=4, seed=11, env=env)
+    live = [RunMetrics(), Rollup(), SpanStreamBuilder()]
+    for fold in live:
+        BusCollector(env.bus, fold)
+    live.append(RunWatcher(env.bus).engine)
+    tracer = SpanTracer(env)
+    prepared = prepare_chaos(files=20, machines=6, cores=4, seed=5, env=env)
     execute_prepared(prepared, settle=300.0)
+    tracer.finalize()
     sink.close()
+    return {type(fold): fold for fold in live}, load_events(sink.path)
 
-    replayed = rollup_from_events(load_events(sink.path))
-    assert replayed.events_seen == live.rollup.events_seen
-    assert verify_parity(replayed, prepared.run.metrics) == []
+
+@pytest.mark.parametrize(
+    "fold_cls",
+    [RunMetrics, Rollup, WatchEngine, SpanStreamBuilder],
+    ids=lambda cls: cls.__name__,
+)
+def test_replayed_fold_matches_live(recorded_chaos, fold_cls):
+    """replay() over a JSONL recording == the same fold attached live
+    through BusCollector."""
+    live_folds, events = recorded_chaos
+    live = live_folds[fold_cls]
+    replayed = fold_cls()
+    replay(events, replayed)
+    envelope = ("t", "topic") if fold_cls is RunMetrics else ()
+    assert _state(live, envelope) != _state(fold_cls(), envelope)  # it folded
+    assert _state(replayed, envelope) == _state(live, envelope)
+    if fold_cls is Rollup:
+        assert replayed.events_seen == live.events_seen
+        assert verify_parity(replayed, live_folds[RunMetrics]) == []
 
 
 def test_rollup_collector_workflow_filter_matches_buscollector():
-    """A filtered streaming collector accepts exactly the events its exact
-    twin accepts."""
+    """The one workflow filter: both folds behind a filtered collector
+    accept exactly the same events, and unattributed events pass."""
     bus = EventBus()
-    exact = BusCollector(bus, workflows=["wf-a"])
-    streaming = RollupCollector(bus, workflows=["wf-a"])
+    exact, streaming = RunMetrics(), Rollup()
+    BusCollector(bus, exact, workflows=["wf-a"])
+    BusCollector(bus, streaming, workflows=["wf-a"])
     fields = dict(
         category="analysis",
         exit_code=0,
@@ -186,17 +245,17 @@ def test_rollup_collector_workflow_filter_matches_buscollector():
     bus.publish(Topics.TASK_RESULT, _time=100.0, workflow="wf-b", task_id=2,
                 **fields)
     bus.publish(Topics.EVICTION, _time=5.0, workflows=["wf-b"], slot="s")
-    assert exact.metrics.n_tasks == streaming.rollup.n_tasks == 1
-    assert exact.metrics.evictions_seen == streaming.rollup.evictions == 0
-    assert verify_parity(streaming.rollup, exact.metrics) == []
+    assert exact.n_tasks == streaming.n_tasks == 1
+    assert exact.evictions_seen == streaming.evictions == 0
+    bus.publish(Topics.EVICTION, _time=6.0, slot="s")  # unattributed
+    assert exact.evictions_seen == streaming.evictions == 1
+    assert verify_parity(streaming, exact) == []
 
 
 # ------------------------------------------------------------- degenerates
 def test_empty_run_parity():
     """No events at all: every timeline is empty/degenerate on both paths
     and parity still holds."""
-    from repro.monitor import RunMetrics
-
     rollup = Rollup()
     metrics = RunMetrics()
     assert verify_parity(rollup, metrics) == []
@@ -209,8 +268,9 @@ def test_empty_run_parity():
 def test_single_event_parity():
     """One task result: a single occupied window, still bit-identical."""
     bus = EventBus()
-    exact = BusCollector(bus)
-    streaming = RollupCollector(bus)
+    exact, streaming = RunMetrics(), Rollup()
+    BusCollector(bus, exact)
+    BusCollector(bus, streaming)
     bus.publish(
         Topics.TASK_RESULT,
         _time=90.0,
@@ -227,16 +287,17 @@ def test_single_event_parity():
         lost_time=0.0,
         output_bytes=5e6,
     )
-    assert streaming.rollup.n_tasks == 1
-    assert verify_parity(streaming.rollup, exact.metrics) == []
+    assert streaming.n_tasks == 1
+    assert verify_parity(streaming, exact) == []
 
 
 def test_single_instantaneous_flow_parity():
     """A zero-duration flow lands its full volume in one bin on both
     paths (the rate*overlap spread degenerates to nbytes/bw)."""
     bus = EventBus()
-    exact = BusCollector(bus)
-    streaming = RollupCollector(bus)
+    exact, streaming = RunMetrics(), Rollup()
+    BusCollector(bus, exact)
+    BusCollector(bus, streaming)
     bus.publish(
         Topics.NET_FLOW,
         _time=42.0,
@@ -246,8 +307,8 @@ def test_single_instantaneous_flow_parity():
         src="worker",
         dst="se",
     )
-    assert streaming.rollup.n_flows == 1
-    assert verify_parity(streaming.rollup, exact.metrics) == []
+    assert streaming.n_flows == 1
+    assert verify_parity(streaming, exact) == []
 
 
 def test_event_at_exact_bin_boundary_parity():
@@ -255,8 +316,9 @@ def test_event_at_exact_bin_boundary_parity():
     clamp (min(int(t/bw), n-1)) that the rollup replays via overflow
     folding."""
     bus = EventBus()
-    exact = BusCollector(bus)
-    streaming = RollupCollector(bus)
+    exact, streaming = RunMetrics(), Rollup()
+    BusCollector(bus, exact)
+    BusCollector(bus, streaming)
     for task_id, finished in enumerate((1800.0, 3600.0), start=1):
         bus.publish(
             Topics.TASK_RESULT,
@@ -274,4 +336,4 @@ def test_event_at_exact_bin_boundary_parity():
             lost_time=0.0,
             output_bytes=0.0,
         )
-    assert verify_parity(streaming.rollup, exact.metrics) == []
+    assert verify_parity(streaming, exact) == []

@@ -5,10 +5,14 @@ evidence spans attached (when spans are supplied), and stays silent
 below the threshold.
 """
 
+from itertools import count
+
 from repro.analysis.report import ExitCode
+from repro.desim import Topics
 from repro.monitor import EvidenceSpan, RunMetrics, diagnose
 from repro.monitor.tracing import Span
-from repro.wq.task import Task, TaskResult
+
+_task_ids = count(1)
 
 
 def fake_result(
@@ -19,19 +23,25 @@ def fake_result(
     lost_time=0.0,
     wq_stage_in=3.0,
 ):
-    task = Task(executor=lambda w, t: iter(()), category="analysis")
-    task.lost_time = lost_time
-    return TaskResult(
-        task=task,
-        exit_code=exit_code,
-        worker_id="w",
+    """The fields of one ``task.result`` bus event."""
+    return dict(
+        workflow="wf",
+        task_id=next(_task_ids),
+        category="analysis",
+        exit_code=int(exit_code),
         submitted=0.0,
         started=started,
         finished=finished,
         segments=segments or {"cpu": 70.0, "io": 20.0, "setup": 5.0},
         wq_stage_in=wq_stage_in,
         wq_stage_out=2.0,
+        lost_time=lost_time,
+        output_bytes=0.0,
     )
+
+
+def feed(metrics, fields):
+    metrics.ingest(Topics.TASK_RESULT, fields["finished"], fields)
 
 
 def _span(span_id, name, start, end, status="ok", trace="wf:u000001"):
@@ -49,7 +59,7 @@ def _find(findings, symptom):
 # ---------------------------------------------------------------------------
 def test_high_lost_runtime_cites_lost_attempts():
     m = RunMetrics()
-    m.add_result("wf", fake_result(lost_time=1000.0))
+    feed(m, fake_result(lost_time=1000.0))
     spans = [
         _span(2, "attempt", 0.0, 900.0, status="eviction"),
         _span(3, "attempt", 0.0, 400.0, status="fast-abort"),
@@ -68,7 +78,7 @@ def test_high_lost_runtime_cites_lost_attempts():
 
 def test_high_lost_runtime_silent_below_threshold():
     m = RunMetrics()
-    m.add_result("wf", fake_result(lost_time=1.0))
+    feed(m, fake_result(lost_time=1.0))
     assert all(
         d.symptom != "high-lost-runtime" for d in diagnose(m, spans=[])
     )
@@ -79,7 +89,7 @@ def test_high_lost_runtime_silent_below_threshold():
 # ---------------------------------------------------------------------------
 def test_slow_sandbox_stage_in_cites_wq_stage_in_spans():
     m = RunMetrics()
-    m.add_result("wf", fake_result(wq_stage_in=500.0))
+    feed(m, fake_result(wq_stage_in=500.0))
     spans = [
         _span(2, "wq.stage_in", 0.0, 480.0),
         _span(3, "wq.stage_in", 0.0, 520.0),
@@ -92,7 +102,7 @@ def test_slow_sandbox_stage_in_cites_wq_stage_in_spans():
 
 def test_slow_sandbox_stage_in_silent_below_threshold():
     m = RunMetrics()
-    m.add_result("wf", fake_result(wq_stage_in=10.0))
+    feed(m, fake_result(wq_stage_in=10.0))
     assert all(
         d.symptom != "slow-sandbox-stage-in" for d in diagnose(m)
     )
@@ -104,7 +114,7 @@ def test_slow_sandbox_stage_in_silent_below_threshold():
 def test_slow_setup_cites_setup_and_cache_fill_spans():
     m = RunMetrics()
     for _ in range(3):
-        m.add_result("wf", fake_result(segments={"cpu": 100.0, "setup": 2000.0}))
+        feed(m, fake_result(segments={"cpu": 100.0, "setup": 2000.0}))
     spans = [
         _span(2, "wrapper.setup", 0.0, 1900.0),
         _span(3, "cvmfs.fill", 0.0, 1500.0),
@@ -117,7 +127,7 @@ def test_slow_setup_cites_setup_and_cache_fill_spans():
 def test_slow_setup_silent_below_threshold():
     m = RunMetrics()
     for _ in range(3):
-        m.add_result("wf", fake_result(segments={"cpu": 100.0, "setup": 30.0}))
+        feed(m, fake_result(segments={"cpu": 100.0, "setup": 30.0}))
     assert all(
         d.symptom != "slow-environment-setup" for d in diagnose(m)
     )
@@ -128,8 +138,8 @@ def test_slow_setup_silent_below_threshold():
 # ---------------------------------------------------------------------------
 def test_slow_chirp_stages_cite_wrapper_stage_spans():
     m = RunMetrics()
-    m.add_result(
-        "wf",
+    feed(
+        m,
         fake_result(segments={"cpu": 10.0, "stage_in": 200.0, "stage_out": 200.0}),
     )
     spans = [
@@ -146,8 +156,8 @@ def test_slow_chirp_stages_cite_wrapper_stage_spans():
 
 def test_slow_chirp_stages_silent_below_threshold():
     m = RunMetrics()
-    m.add_result(
-        "wf",
+    feed(
+        m,
         fake_result(segments={"cpu": 10.0, "stage_in": 5.0, "stage_out": 5.0}),
     )
     assert all(d.symptom != "slow-stage-in-out" for d in diagnose(m))
@@ -158,7 +168,7 @@ def test_slow_chirp_stages_silent_below_threshold():
 # ---------------------------------------------------------------------------
 def test_untraced_run_fires_with_empty_evidence():
     m = RunMetrics()
-    m.add_result("wf", fake_result(lost_time=1000.0))
+    feed(m, fake_result(lost_time=1000.0))
     d = _find(diagnose(m), "high-lost-runtime")
     assert d.evidence == ()
     assert "evidence" not in str(d)
@@ -166,7 +176,7 @@ def test_untraced_run_fires_with_empty_evidence():
 
 def test_evidence_capped_at_three_worst():
     m = RunMetrics()
-    m.add_result("wf", fake_result(wq_stage_in=500.0))
+    feed(m, fake_result(wq_stage_in=500.0))
     spans = [
         _span(i, "wq.stage_in", 0.0, 100.0 * i) for i in range(2, 8)
     ]
@@ -177,7 +187,7 @@ def test_evidence_capped_at_three_worst():
 
 def test_open_spans_never_cited():
     m = RunMetrics()
-    m.add_result("wf", fake_result(wq_stage_in=500.0))
+    feed(m, fake_result(wq_stage_in=500.0))
     open_span = Span(2, "wf:u000001", 1, "wq.stage_in", 0.0)  # end=None
     d = _find(diagnose(m, spans=[open_span]), "slow-sandbox-stage-in")
     assert d.evidence == ()

@@ -13,14 +13,14 @@ from repro.desim import Environment
 from repro.desim.bus import Topics
 from repro.monitor import (
     DEFAULT_DETECTORS,
+    BusCollector,
     DetectorSpec,
-    RollupCollector,
+    Rollup,
     RunWatcher,
     SpanTracer,
     WatchEngine,
     render_report,
 )
-from repro.monitor.watch import WATCH_TOPICS
 from repro.scenarios import execute_prepared, prepare_chaos, prepare_quickstart
 
 
@@ -170,8 +170,8 @@ def test_evidence_pools_are_bounded():
 
 
 def test_alert_topics_are_not_watch_inputs():
-    assert Topics.ALERT_RAISE not in WATCH_TOPICS
-    assert Topics.ALERT_CLEAR not in WATCH_TOPICS
+    assert Topics.ALERT_RAISE not in WatchEngine.TOPICS
+    assert Topics.ALERT_CLEAR not in WatchEngine.TOPICS
 
 
 def test_default_catalogue_covers_the_section5_heuristics():
@@ -192,12 +192,13 @@ def chaos_watch():
     """One chaos run with the full observer stack attached."""
     env = Environment()
     tracer = SpanTracer(env)
-    collector = RollupCollector(env.bus)
+    rollup = Rollup()
+    BusCollector(env.bus, rollup)
     watcher = RunWatcher(env.bus)
     prepared = prepare_chaos(files=60, machines=12, cores=4, seed=5, env=env)
     execute_prepared(prepared, settle=300.0)
     tracer.finalize()
-    return prepared.run, watcher, collector.rollup, tracer
+    return prepared.run, watcher, rollup, tracer
 
 
 def test_clean_quickstart_is_alert_silent():
