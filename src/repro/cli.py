@@ -292,28 +292,48 @@ def _replay_file(path, *folds):
     return events
 
 
+def _attach_dash(env, dash_out):
+    """Fold *env*'s bus into a rollup and a span tracer for ``--dash-out``.
+
+    Returns ``(dash_out, rollup, tracer)``, or ``None`` without a path.
+    """
+    if dash_out is None:
+        return None
+    from repro.monitor import BusCollector, Rollup, SpanTracer
+
+    rollup = Rollup()
+    BusCollector(env.bus, rollup)
+    return dash_out, rollup, SpanTracer(env)
+
+
+#: Simulated seconds a finished run keeps going before its report.
+_SETTLE = 300.0
+
+
 def _finish(prepared, out, sink=None, dash_out=None) -> int:
     """Drive a :class:`~repro.scenarios.PreparedRun` and print its report."""
-    from repro.monitor import render_report
     from repro.scenarios import execute_prepared
 
-    rollup = tracer = None
-    if dash_out is not None:
-        from repro.monitor import BusCollector, Rollup, SpanTracer
-
-        rollup = Rollup()
-        BusCollector(prepared.env.bus, rollup)
-        tracer = SpanTracer(prepared.env)
+    dash = _attach_dash(prepared.env, dash_out)
     # The settle window lets workers and glide-ins exit cleanly instead
     # of being garbage-collected mid-yield.
-    execute_prepared(prepared, settle=300.0)
+    execute_prepared(prepared, settle=_SETTLE)
+    return _report(prepared, out, sink, dash)
+
+
+def _report(prepared, out, sink, dash) -> int:
+    """Print a finished run's report, close the recording and write the
+    dashboard that :func:`_attach_dash` has been folding."""
+    from repro.monitor import render_report
+
     out.write(render_report(prepared.run) + "\n")
     if sink is not None:
         sink.close()
         out.write(f"recorded {sink.count} events to {sink.path}\n")
-    if rollup is not None:
+    if dash is not None:
         from repro.monitor import write_dashboard
 
+        dash_out, rollup, tracer = dash
         tracer.finalize()
         labels = [wf.label for wf in prepared.run.config.workflows]
         write_dashboard(
@@ -421,23 +441,28 @@ def cmd_chaos(args, out) -> int:
 
     # Crash-and-recover flow: run until the MasterCrash fault kills the
     # master, then warm-restart the campaign from the surviving Lobster
-    # DB and drive the resumed run to completion.
-    from repro.scenarios import execute_prepared, warm_restart
+    # DB and drive the resumed run to completion.  The restart keeps the
+    # environment and its bus, so the dashboard folds both runs.
+    from repro.scenarios import execute_prepared, settle_run, warm_restart
 
+    dash = _attach_dash(env, args.dash_out)
     execute_prepared(prepared, settle=60.0)
     if not prepared.run.crashed:
         out.write(
             f"campaign finished before t={args.master_crash_at:.0f}s — "
             "the master was never crashed\n"
         )
-        return _finish(prepared, out, sink=sink, dash_out=args.dash_out)
+        # Settle the rest of the window every finished run gets.
+        settle_run(env, _SETTLE - 60.0)
+        return _report(prepared, out, sink, dash)
     out.write(
         f"MASTER CRASHED at t={env.now:.0f}s "
         f"({prepared.run.master.tasks_returned} task results banked so far)\n"
     )
     resumed = warm_restart(prepared)
     out.write("WARM RESTART: recovering from the Lobster DB\n")
-    return _finish(resumed, out, sink=sink, dash_out=args.dash_out)
+    execute_prepared(resumed, settle=_SETTLE)
+    return _report(resumed, out, sink, dash)
 
 
 def cmd_crashtest(args, out) -> int:

@@ -78,6 +78,8 @@ class TaskletStore:
         self.workflow = workflow
         self._tasklets: List[Tasklet] = []
         self._pending: List[int] = []  # indices, FIFO
+        #: Tasklets in a terminal state, kept by :meth:`_move`.
+        self._terminal = 0
 
     # -- construction -------------------------------------------------------
     @classmethod
@@ -138,6 +140,8 @@ class TaskletStore:
             store._tasklets.append(t)
             if t.state == TaskletState.PENDING:
                 store._pending.append(len(store._tasklets) - 1)
+            elif t.state in TaskletState.TERMINAL:
+                store._terminal += 1
         return store
 
     def add(self, n_events: int, input_bytes: float, lfn=None, lumis=()) -> Tasklet:
@@ -154,13 +158,19 @@ class TaskletStore:
         return t
 
     # -- state transitions --------------------------------------------------------
+    def _move(self, t: Tasklet, state: str) -> None:
+        """Set *t*'s state, keeping the terminal count."""
+        terminal = TaskletState.TERMINAL
+        self._terminal += (state in terminal) - (t.state in terminal)
+        t.state = state
+
     def claim(self, n: int) -> List[Tasklet]:
         """Take up to *n* pending tasklets and mark them assigned."""
         claimed = []
         while self._pending and len(claimed) < n:
             idx = self._pending.pop(0)
             t = self._tasklets[idx]
-            t.state = TaskletState.ASSIGNED
+            self._move(t, TaskletState.ASSIGNED)
             claimed.append(t)
         return claimed
 
@@ -168,7 +178,7 @@ class TaskletStore:
         for t in tasklets:
             if t.state == TaskletState.DONE:
                 continue
-            t.state = TaskletState.DONE
+            self._move(t, TaskletState.DONE)
 
     def mark_failed_attempt(self, tasklets: Sequence[Tasklet], max_retries: int) -> List[Tasklet]:
         """Record a failed attempt; re-pend retryable tasklets.
@@ -179,10 +189,10 @@ class TaskletStore:
         for t in tasklets:
             t.attempts += 1
             if t.attempts >= max_retries:
-                t.state = TaskletState.FAILED
+                self._move(t, TaskletState.FAILED)
                 permanent.append(t)
             else:
-                t.state = TaskletState.PENDING
+                self._move(t, TaskletState.PENDING)
                 self._pending.append(t.tasklet_id - 1)
         return permanent
 
@@ -198,7 +208,7 @@ class TaskletStore:
         settled = []
         for t in self._tasklets:
             if t.tasklet_id in ids and t.state == TaskletState.PENDING:
-                t.state = TaskletState.DONE
+                self._move(t, TaskletState.DONE)
                 settled.append(t)
         if settled:
             gone = {t.tasklet_id - 1 for t in settled}
@@ -217,7 +227,7 @@ class TaskletStore:
         reopened = []
         for idx, t in enumerate(self._tasklets):
             if t.tasklet_id in ids and t.state == TaskletState.DONE:
-                t.state = TaskletState.PENDING
+                self._move(t, TaskletState.PENDING)
                 t.attempts += 1
                 self._pending.append(idx)
                 reopened.append(t)
@@ -246,14 +256,13 @@ class TaskletStore:
     @property
     def complete(self) -> bool:
         """All tasklets in a terminal state."""
-        return all(t.state in TaskletState.TERMINAL for t in self._tasklets)
+        return self._terminal == len(self._tasklets)
 
     @property
     def processed_fraction(self) -> float:
         if not self._tasklets:
             return 1.0
-        done = sum(1 for t in self._tasklets if t.state in TaskletState.TERMINAL)
-        return done / len(self._tasklets)
+        return self._terminal / len(self._tasklets)
 
     def __iter__(self):
         return iter(self._tasklets)

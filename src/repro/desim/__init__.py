@@ -39,7 +39,6 @@ from .bandwidth import FairShareLink, Transfer, TransferCancelled, allocate_max_
 from .trace import Tracer
 from .resources import (
     Container,
-    FilterStore,
     Preempted,
     PreemptiveResource,
     PriorityResource,
@@ -67,7 +66,6 @@ __all__ = [
     "Preempted",
     "Container",
     "Store",
-    "FilterStore",
     "PriorityStore",
     "FairShareLink",
     "Transfer",

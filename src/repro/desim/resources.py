@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from heapq import heappush, heappop
 from itertools import count
-from typing import Any, Callable, List
+from typing import Any, List
 
 from .events import Event, PENDING
 
@@ -24,7 +24,6 @@ __all__ = [
     "PreemptiveResource",
     "Container",
     "Store",
-    "FilterStore",
     "PriorityStore",
 ]
 
@@ -338,14 +337,6 @@ class StoreGet(Event):
                 pass
 
 
-class FilterStoreGet(StoreGet):
-    __slots__ = ("filter",)
-
-    def __init__(self, store, filter: Callable[[Any], bool]):
-        self.filter = filter
-        super().__init__(store)
-
-
 class Store:
     """FIFO store of discrete items with bounded capacity."""
 
@@ -368,11 +359,6 @@ class Store:
     def get(self) -> StoreGet:
         return StoreGet(self)
 
-    def retrigger(self) -> None:
-        """Re-evaluate waiting getters whose external predicates may have
-        changed (e.g. a FilterStore filter closing over mutable state)."""
-        self._trigger()
-
     def _trigger(self) -> None:
         progress = True
         while progress:
@@ -391,32 +377,6 @@ class Store:
         get = self._get_waiters.pop(0)
         get.succeed(self.items.pop(0))
         return True
-
-
-class FilterStore(Store):
-    """Store whose getters may select items with a predicate."""
-
-    def get(self, filter: Callable[[Any], bool] = lambda item: True) -> FilterStoreGet:  # type: ignore[override]
-        return FilterStoreGet(self, filter)
-
-    def _trigger(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._put_waiters and len(self.items) < self._capacity:
-                put = self._put_waiters.pop(0)
-                self.items.append(put.item)
-                put.succeed()
-                progress = True
-            # Try every waiting getter against available items.
-            for get in list(self._get_waiters):
-                for idx, item in enumerate(self.items):
-                    if get.filter(item):
-                        del self.items[idx]
-                        self._get_waiters.remove(get)
-                        get.succeed(item)
-                        progress = True
-                        break
 
 
 class PriorityStore(Store):

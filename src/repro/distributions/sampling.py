@@ -69,21 +69,22 @@ class TruncatedGaussianSampler(Sampler):
         self.sigma = float(sigma)
         self.low = float(low)
 
+    # Both methods call truncnorm's class methods: freezing a distribution
+    # builds a new instance per call, several times the cost of the draw.
     def sample(self, rng, size=None):
         from scipy.stats import truncnorm
 
         a = (self.low - self.mu) / self.sigma
-        dist = truncnorm(a=a, b=np.inf, loc=self.mu, scale=self.sigma)
         # truncnorm.ppf is vectorised; feed uniform draws from our rng so
         # reproducibility is controlled by the caller's generator.
         u = rng.random(size)
-        return dist.ppf(u)
+        return truncnorm.ppf(u, a, np.inf, loc=self.mu, scale=self.sigma)
 
     def mean(self) -> float:
         from scipy.stats import truncnorm
 
         a = (self.low - self.mu) / self.sigma
-        return float(truncnorm(a=a, b=np.inf, loc=self.mu, scale=self.sigma).mean())
+        return float(truncnorm.mean(a, np.inf, loc=self.mu, scale=self.sigma))
 
     def __repr__(self) -> str:
         return f"TruncatedGaussianSampler(mu={self.mu}, sigma={self.sigma}, low={self.low})"

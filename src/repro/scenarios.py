@@ -64,6 +64,7 @@ __all__ = [
     "prepare_process",
     "prepare_chaos",
     "execute_prepared",
+    "settle_run",
     "warm_restart",
 ]
 
@@ -116,11 +117,16 @@ def execute_prepared(
     summary = env.run(until=prepared.run.process)
     prepared.pool.drain()
     if settle is not None:
-        try:
-            env.run(until=env.now + settle)
-        except RuntimeError:
-            pass  # queue drained before the settling window elapsed
+        settle_run(env, settle)
     return ScenarioResult(env, prepared.run, prepared.pool, summary)
+
+
+def settle_run(env: Environment, seconds: float) -> None:
+    """Run *env* on for *seconds*, or until its event queue drains."""
+    try:
+        env.run(until=env.now + seconds)
+    except RuntimeError:
+        pass  # queue drained before the settling window elapsed
 
 
 # --------------------------------------------------------------------------

@@ -9,6 +9,7 @@ eviction can strike at any yield point.
 
 from .task import Task, TaskResult, TaskState
 from .recovery import RecoveryPolicy
+from .ready import ReadyQueue
 from .master import Master
 from .foreman import Foreman
 from .worker import Worker
@@ -19,6 +20,7 @@ __all__ = [
     "TaskResult",
     "TaskState",
     "RecoveryPolicy",
+    "ReadyQueue",
     "Master",
     "Foreman",
     "Worker",

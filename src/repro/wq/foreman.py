@@ -13,9 +13,10 @@ from __future__ import annotations
 from itertools import count
 from typing import Optional, Set
 
-from ..desim import Environment, FilterStore, Topics
+from ..desim import Environment, Topics
 from ..net import Fabric, TrafficClass
 from .master import Master
+from .ready import ReadyQueue
 from .transfer import ship
 
 __all__ = ["Foreman"]
@@ -52,7 +53,7 @@ class Foreman:
         )
         #: Bounded buffer: the pump blocks when it is full, giving
         #: natural flow control against the upstream.
-        self.ready = FilterStore(env, capacity=buffer_depth)
+        self.ready = ReadyQueue(env, capacity=buffer_depth)
         self._sandboxes: Set[str] = set()
         self.tasks_relayed = 0
         self._p_relay = env.bus.port(Topics.FOREMAN_RELAY)
@@ -84,7 +85,7 @@ class Foreman:
                     foreman=self.name,
                     task_id=task.task_id,
                     nbytes=nbytes,
-                    buffered=len(self.ready.items) + 1,
+                    buffered=len(self.ready) + 1,
                 )
             yield self.ready.put(task)
 
@@ -92,4 +93,4 @@ class Foreman:
         return sandbox_id in self._sandboxes
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Foreman {self.name} buffered={len(self.ready.items)}>"
+        return f"<Foreman {self.name} buffered={len(self.ready)}>"

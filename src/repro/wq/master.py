@@ -12,8 +12,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..analysis.report import ExitCode
-from ..desim import Environment, FilterStore, Store, Topics
+from ..desim import Environment, Store, Topics
 from ..net import Fabric
+from .ready import ReadyQueue
 from .recovery import RecoveryPolicy
 from .task import Task, TaskResult, TaskState
 
@@ -42,10 +43,10 @@ class Master:
         #: Active failure-recovery behaviour (retry budget, backoff,
         #: host blacklisting); defaults are deliberately gentle.
         self.recovery = recovery if recovery is not None else RecoveryPolicy()
-        #: Tasks ready for dispatch (workers/foremen pull from here).
-        #: A FilterStore so multi-core-aware workers can pull only tasks
-        #: that fit their free cores.
-        self.ready = FilterStore(env)
+        #: Tasks ready for dispatch (workers/foremen pull from here),
+        #: indexed by core count so a worker pulls the oldest task that
+        #: fits its free cores.
+        self.ready = ReadyQueue(env)
         #: Completed (or definitively failed) task results.
         self.results = Store(env)
         #: Set when the workload is over; workers drain and exit.
@@ -118,7 +119,7 @@ class Master:
             port.emit(
                 task_id=task.task_id,
                 category=task.category,
-                ready=len(self.ready.items) + 1,
+                ready=len(self.ready) + 1,
             )
         self.ready.put(task)
 
@@ -147,7 +148,7 @@ class Master:
 
     @property
     def ready_count(self) -> int:
-        return len(self.ready.items)
+        return len(self.ready)
 
     @property
     def draining(self) -> bool:
@@ -167,10 +168,10 @@ class Master:
         work from the Lobster DB — re-attachment happens at the tasklet
         layer, not here.  Returns the number of orphaned attempts.
         """
-        orphaned = self.tasks_running + len(self.ready.items)
+        orphaned = self.tasks_running + len(self.ready)
         self.crashed = True
         self.tasks_orphaned = orphaned
-        self.ready.items.clear()
+        self.ready.clear()
         self.drain()
         return orphaned
 
@@ -280,9 +281,7 @@ class Master:
         dispatched to a worker cannot be cancelled this way (its result
         will still arrive and should be ignored by the caller).
         """
-        try:
-            self.ready.items.remove(task)
-        except ValueError:
+        if not self.ready.remove(task):
             return False
         task.state = TaskState.CANCELLED
         self.tasks_submitted -= 1
@@ -422,8 +421,8 @@ class Master:
                 active=False,
                 blacklisted=len(self.blacklisted),
             )
-        # A pending filtered get from the unblacklisted host's worker
-        # re-evaluates only on the next store trigger; nudge it now.
+        # A waiting pull from the paroled host's worker is offered tasks
+        # again only on the next grant pass; run one now.
         self.ready.retrigger()
 
     # -- fast abort (Work Queue's straggler mitigation) ----------------------

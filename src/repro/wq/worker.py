@@ -125,12 +125,16 @@ class Worker:
     def _upstream_nic(self):
         return self.upstream.nic
 
-    def _fits(self, task: Task) -> bool:
-        return (
-            not self._dying
-            and task.cores <= self._free
-            and not self.master.is_blacklisted(self.machine.name)
-        )
+    def _fits(self) -> Optional[int]:
+        """The most cores a task may need and still fit on this worker
+        now; ``None`` while it is dying or its host is blacklisted.
+
+        The ready queue calls this once per waiting pull it probes;
+        ``benchmarks/e2e`` counts those calls as ``wq.fits_calls``.
+        """
+        if self._dying or self.master.is_blacklisted(self.machine.name):
+            return None
+        return self._free
 
     def _dispatch_loop(self):
         master = self.master
@@ -196,7 +200,8 @@ class Worker:
         finally:
             self._free += task.cores
             self._runners[:] = [r for r in self._runners if r is not me]
-            # Freed cores may satisfy a filtered get blocked upstream.
+            # Freed cores may let this worker's waiting pull take a
+            # task it could not fit before.
             self._source.retrigger()
         if result is None:
             # Fast abort: the master flagged this task a straggler.

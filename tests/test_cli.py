@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 
 import pytest
 
@@ -100,6 +101,37 @@ def test_cli_simulate_small():
     )
     assert code == 0
     assert "LOBSTER RUN REPORT" in text
+
+
+# ---------------------------------------------------------------- chaos dashboard
+CHAOS_SMALL = ["chaos", "--files", "12", "--machines", "6", "--cores", "2", "--seed", "1"]
+
+
+def _chaos_with_dashboard(tmp_path, crash_at):
+    """Run a small chaos campaign with ``--dash-out``; return the report's
+    succeeded + failed task count and the dashboard's task tile."""
+    dash = tmp_path / "chaos.html"
+    code, text = run_cli(
+        CHAOS_SMALL + ["--master-crash-at", str(crash_at), "--dash-out", str(dash)]
+    )
+    assert code == 0
+    ok, failed = re.search(r"^tasks +: (\d+) succeeded, (\d+) failed", text, re.M).groups()
+    tile = re.search(r'<div class="v[^"]*">(\d+)</div><div class="k">tasks<', dash.read_text())
+    return text, int(ok) + int(failed), int(tile.group(1))
+
+
+def test_chaos_dashboard_folds_a_campaign_that_ends_before_the_crash(tmp_path):
+    text, reported, tiled = _chaos_with_dashboard(tmp_path, 100000)
+    assert "the master was never crashed" in text
+    assert reported > 0
+    assert tiled == reported
+
+
+def test_chaos_dashboard_folds_the_run_before_the_crash_too(tmp_path):
+    text, reported, tiled = _chaos_with_dashboard(tmp_path, 1500)
+    assert "MASTER CRASHED" in text
+    # The report covers the resumed run; the dashboard both runs.
+    assert tiled > reported
 
 
 # ---------------------------------------------------------------- foreign recordings

@@ -5,7 +5,6 @@ import pytest
 from repro.desim import (
     Container,
     Environment,
-    FilterStore,
     Interrupt,
     Preempted,
     PreemptiveResource,
@@ -269,28 +268,6 @@ def test_store_get_blocks_until_item():
     env.process(producer(env))
     env.run()
     assert got == [(123, 4.0)]
-
-
-def test_filter_store_selects_matching():
-    env = Environment()
-    store = FilterStore(env)
-    got = []
-
-    def consumer(env):
-        item = yield store.get(lambda x: x % 2 == 0)
-        got.append(item)
-
-    def producer(env):
-        yield store.put(1)
-        yield store.put(3)
-        yield env.timeout(1)
-        yield store.put(4)
-
-    env.process(consumer(env))
-    env.process(producer(env))
-    env.run()
-    assert got == [4]
-    assert store.items == [1, 3]
 
 
 def test_priority_store_yields_smallest():

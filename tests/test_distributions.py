@@ -161,6 +161,40 @@ def test_truncated_gaussian_reduces_to_gaussian_far_from_bound():
     assert s.mean() == pytest.approx(1000.0, abs=0.1)
 
 
+def _built_truncated_gaussians():
+    """Every TruncatedGaussianSampler the simulator builds."""
+    from repro.analysis.code import data_processing_code, simulation_code
+    from repro.analysis.profiles import PROFILES
+    from repro.batch.cloud import CloudProvider
+    from repro.core.tasksize import TaskSizeConfig
+    from repro.desim import Environment
+
+    codes = [make() for make in PROFILES.values()]
+    codes += [data_processing_code(), simulation_code()]
+    samplers = {f"profile:{c.name}": c.per_event_cpu for c in codes}
+    samplers["cloud.boot_delay"] = CloudProvider(Environment()).boot_delay
+    samplers["tasksize.tasklet_time"] = TaskSizeConfig().tasklet_time
+    assert all(isinstance(s, TruncatedGaussianSampler) for s in samplers.values())
+    return samplers
+
+
+@pytest.mark.parametrize("size", [None, 1, 1000])
+@pytest.mark.parametrize("name", sorted(_built_truncated_gaussians()))
+def test_truncated_gaussian_matches_the_frozen_distribution(name, size):
+    """Sampling through truncnorm's class methods draws exactly what a
+    frozen distribution per call drew, with the same type."""
+    from scipy.stats import truncnorm
+
+    s = _built_truncated_gaussians()[name]
+    a = (s.low - s.mu) / s.sigma
+    frozen = truncnorm(a=a, b=np.inf, loc=s.mu, scale=s.sigma)
+    got = s.sample(np.random.default_rng(7), size)
+    want = frozen.ppf(np.random.default_rng(7).random(size))
+    assert type(got) is type(want)
+    assert np.array_equal(got, want)
+    assert s.mean() == float(frozen.mean())
+
+
 def test_lognormal_mean():
     s = LogNormalSampler(mu=0.0, sigma=0.5)
     rng = np.random.default_rng(1)

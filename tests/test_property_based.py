@@ -274,6 +274,65 @@ def test_retry_exhaustion_terminates(n, max_retries):
     assert store.failed_count == store.total
 
 
+TASKLET_STATES = [
+    TaskletState.PENDING,
+    TaskletState.ASSIGNED,
+    TaskletState.DONE,
+    TaskletState.FAILED,
+]
+tasklet_picks = st.lists(st.integers(min_value=0, max_value=12), max_size=6)
+TASKLET_OPS = st.one_of(
+    st.tuples(st.just("claim"), st.integers(min_value=0, max_value=5)),
+    st.tuples(st.just("mark_done"), tasklet_picks),
+    st.tuples(
+        st.just("mark_failed_attempt"), tasklet_picks, st.integers(min_value=1, max_value=3)
+    ),
+    st.tuples(st.just("settle_done"), tasklet_picks),
+    st.tuples(st.just("reopen"), tasklet_picks),
+)
+
+
+@given(
+    rows=st.one_of(st.none(), st.lists(st.sampled_from(TASKLET_STATES), max_size=12)),
+    ops=st.lists(TASKLET_OPS, max_size=40),
+)
+@settings(max_examples=200, deadline=None)
+def test_counted_progress_matches_a_full_scan(rows, ops):
+    """``complete`` and ``processed_fraction`` read a kept count; after
+    every transition they equal the scan over every tasklet."""
+    if rows is None:
+        store = TaskletStore.from_event_count("wf", 100, 10)
+    else:
+        store = TaskletStore.restore(
+            "wf", [(i + 1, None, 10, 0.0, state, 0) for i, state in enumerate(rows)]
+        )
+
+    def check():
+        tasklets = list(store)
+        assert store.complete == all(t.state in TaskletState.TERMINAL for t in tasklets)
+        expected = (
+            sum(1 for t in tasklets if t.state in TaskletState.TERMINAL) / len(tasklets)
+            if tasklets
+            else 1.0
+        )
+        assert store.processed_fraction == expected
+
+    check()
+    for kind, arg, *rest in ops:
+        tasklets = list(store)
+        if kind == "claim":
+            store.claim(arg)
+        else:
+            picked = [tasklets[i] for i in arg if i < len(tasklets)]
+            if kind == "mark_done":
+                store.mark_done(picked)
+            elif kind == "mark_failed_attempt":
+                store.mark_failed_attempt(picked, rest[0])
+            else:
+                getattr(store, kind)([t.tasklet_id for t in picked])
+        check()
+
+
 # ------------------------------------------------------------ time series
 monotone_samples = st.lists(
     st.tuples(

@@ -83,7 +83,7 @@ def test_requeue_applies_exponential_backoff():
     env.bus.attach(sink, Topics.TASK_REQUEUE)
     task = Task(sleep_executor(1.0))
     master.submit(task)
-    master.ready.items.remove(task)  # "dispatched"
+    assert master.ready.remove(task)  # "dispatched"
 
     master.requeue(task, lost_after=7.0)
     assert task.state == TaskState.LOST
@@ -95,7 +95,7 @@ def test_requeue_applies_exponential_backoff():
     assert task.state == TaskState.READY
 
     # Second loss doubles the delay.
-    master.ready.items.remove(task)
+    assert master.ready.remove(task)
     master.requeue(task)
     env.run(until=env.now + 19.0)
     assert master.ready_count == 0
@@ -118,12 +118,12 @@ def test_retry_budget_exhaustion_fails_task():
     task = Task(sleep_executor(1.0))
     master.submit(task)
 
-    master.ready.items.remove(task)
+    assert master.ready.remove(task)
     master.requeue(task, lost_after=50.0)  # attempt 1: requeued
     assert master.tasks_requeued == 1
     assert master.ready_count == 1
 
-    master.ready.items.remove(task)
+    assert master.ready.remove(task)
     master.requeue(task, lost_after=60.0)  # attempt 2: budget spent
     assert master.tasks_requeued == 1  # not requeued again
     assert master.tasks_exhausted == 1

@@ -87,7 +87,7 @@ def test_foreman_buffer_backpressure():
         master.submit(Task(sleep_executor(1000.0), sandbox_bytes=0.0))
     env.run(until=50.0)
     # The pump moved exactly buffer_depth tasks (no worker drains them).
-    assert len(foreman.ready.items) == 2
+    assert len(foreman.ready) == 2
     assert master.ready_count == 10 - 2 - 1  # one more in the pump's hands
     assert foreman.tasks_relayed <= 3
 
@@ -104,7 +104,7 @@ def test_foreman_does_not_lose_tasks_on_drain():
     results = collect(env, master, 4)
     env.run()
     assert len(results) == 4
-    assert foreman.ready.items == []
+    assert len(foreman.ready) == 0
 
 
 # ---------------------------------------------------------------- states
