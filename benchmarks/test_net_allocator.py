@@ -7,6 +7,8 @@ recompute per flow event.  Two guards enforce it:
 * a machine-independent recompute count: 1000 three-hop flows started
   in batched waves must trigger a number of allocation flushes on the
   order of the number of distinct timestamps, not the number of flows;
+  and since every flow crosses the WAN, the tightest link, each flush
+  settles in one round without a general ``waterfill`` call;
 * a wall-time gate against the checked-in baseline in
   ``benchmarks/out/net_allocator_baseline.txt`` with a generous
   tolerance (CI machines vary; the gate catches complexity blow-ups,
@@ -19,6 +21,7 @@ the CI artifact upload.
 import os
 import time
 
+import repro.net.fabric
 from repro.desim import Environment
 from repro.net import Fabric, waterfill
 
@@ -70,6 +73,21 @@ def churn_fabric():
     return fabric, flushes[0]
 
 
+def count_general_waterfills(monkeypatch):
+    """The churn run's ``waterfill`` calls: flushes the one-round path
+    could not settle."""
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return waterfill(*args)
+
+    monkeypatch.setattr(repro.net.fabric, "waterfill", counting)
+    churn_fabric()
+    monkeypatch.undo()
+    return calls[0]
+
+
 def time_waterfill():
     """One cold allocation of 1000 three-hop flows."""
     caps = {}
@@ -107,10 +125,11 @@ def _read_baseline():
     return baseline
 
 
-def test_allocator_perf_against_baseline():
+def test_allocator_perf_against_baseline(monkeypatch):
     waterfill_ms = _best_of(time_waterfill) * 1e3
     churn_ms = _best_of(churn_fabric) * 1e3
     _, flushes = churn_fabric()
+    general = count_general_waterfills(monkeypatch)
 
     os.makedirs(OUT_DIR, exist_ok=True)
     with open(os.path.join(OUT_DIR, "net_allocator.txt"), "w") as fh:
@@ -121,12 +140,16 @@ def test_allocator_perf_against_baseline():
         fh.write(f"waterfill_1k_3hop_ms: {waterfill_ms:.3f}\n")
         fh.write(f"fabric_churn_1k_ms: {churn_ms:.3f}\n")
         fh.write(f"allocation_flushes: {flushes}\n")
+        fh.write(f"general_waterfill_calls: {general}\n")
 
     # Machine-independent: joins coalesce to one flush, completions to
     # one per distinct finish time (10 sizes), each followed by at most
     # one timer re-arm flush.  50 leaves order-of-magnitude slack while
     # catching any per-flow-recompute regression (which would be ~1000).
     assert flushes <= 50, f"{flushes} allocation flushes for batched waves"
+    # Every flush's component is bottlenecked by the WAN, which carries
+    # every flow: none needs the general water-filling pass.
+    assert general == 0, f"{general} general waterfill calls over {flushes} flushes"
 
     baseline = _read_baseline()
     assert waterfill_ms <= baseline["waterfill_1k_3hop_ms"] * TOLERANCE, (

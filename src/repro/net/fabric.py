@@ -14,6 +14,9 @@ Allocation is incremental: changes (flow joins/leaves, capacity edits)
 mark links dirty, all changes at one DES timestamp are coalesced into a
 single recompute, and the recompute walks only the connected component
 of links/flows actually touched — untouched flows keep their rates.
+When one link at the component's lowest fair share carries every flow
+of the component, the recompute settles it from the links' live flow
+counts without calling :func:`~repro.net.allocator.waterfill`.
 
 Single-link fabrics reproduce :class:`~repro.desim.FairShareLink`
 dynamics exactly, which is how legacy constructors keep working: a
@@ -22,16 +25,19 @@ component built without a shared fabric gets a private flat one.
 
 from __future__ import annotations
 
+from itertools import accumulate, count, repeat
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..desim import Environment, Timeout, Topics, TransferCancelled
 from ..desim.bandwidth import allocate_max_min
 from ..desim.events import Event, PENDING
-from .allocator import waterfill
+from .allocator import _REL_EPS, waterfill
 
 __all__ = ["Fabric", "Flow", "Link", "LinkDown", "TrafficClass", "transfer_on"]
 
 _EPS = 1e-9
+_by_start = attrgetter("_seq")
 
 
 class TrafficClass:
@@ -72,6 +78,8 @@ class Flow(Event):
         "dst",
         "started",
         "span",
+        "_seq",
+        "_done_at",
     )
 
     def __init__(
@@ -95,6 +103,10 @@ class Flow(Event):
         self.src = src
         self.dst = dst
         self.started = fabric.env.now
+        #: Start order; a flush completes its flows in this order.
+        self._seq = next(fabric._flow_seq)
+        #: The flow completes once ``remaining`` falls to this.
+        self._done_at = _EPS * max(1.0, self.nbytes)
         #: Ambient trace context of the process that opened the flow, so
         #: net.flow events carry span attribution (monitor.tracing).
         proc = fabric.env._active_proc
@@ -153,6 +165,8 @@ class Link:
         #: Cached aggregate rate across crossing flows (kept by Fabric).
         self._agg_rate = 0.0
         self._cls_rate: Dict[str, float] = {}
+        #: Crossing flows per traffic class (kept by Fabric).
+        self._cls_count: Dict[str, int] = {}
         # statistics
         self.bytes_moved = 0.0
         self.bytes_by_class: Dict[str, float] = {}
@@ -301,6 +315,13 @@ class Fabric:
         }
         #: Insertion-ordered set of all live flows.
         self._flows: Dict[Flow, None] = {}
+        #: Numbers flows in start order (``Flow._seq``).
+        self._flow_seq = count()
+        #: Live flows with their own rate cap.
+        self._capped = 0
+        #: Live flows whose ``remaining`` reached ``_done_at``; the next
+        #: flush completes them.
+        self._done: Dict[Flow, None] = {}
         #: Links whose flow set / capacity changed since the last flush.
         self._dirty: Dict[Link, None] = {}
         self._pending = False
@@ -417,9 +438,15 @@ class Fabric:
             return flow
         self._advance()
         self._flows[flow] = None
+        if max_rate is not None:
+            self._capped += 1
+        if flow.remaining <= flow._done_at:  # at most _EPS bytes: done at once
+            self._done[flow] = None
         down_after = None
         for link in links:
             link._flows[flow] = None
+            counts = link._cls_count
+            counts[cls] = counts.get(cls, 0) + 1
             if link._outage:
                 fa = link._fail_after
                 down_after = fa if down_after is None else min(down_after, fa)
@@ -484,37 +511,23 @@ class Fabric:
     def _flush(self) -> None:
         self._pending = False
         self._advance()
-        eps = _EPS
-        done = [
-            f for f in self._flows if f.remaining <= eps * max(1.0, f.nbytes)
-        ]
+        done = sorted(self._done, key=_by_start)
         for f in done:
             self._detach(f)
         if self._dirty:
             links, flows = self._component()
             self._dirty.clear()
-            if flows:
-                rates = waterfill(
-                    {l: l._capacity for l in links},
-                    [f.route for f in flows],
-                    [f.max_rate for f in flows],
-                )
-                for f, r in zip(flows, rates):
-                    f.rate = r
+            share = self._one_round_share(links, flows) if flows else None
+            if share is None:
+                self._settle_by_waterfill(links, flows)
+            else:
+                self._settle_one_round(links, flows, share)
+            active = self._active_links
             for link in links:
-                agg = 0.0
-                cls_rate: Dict[str, float] = {}
-                for f in link._flows:
-                    r = f.rate
-                    agg += r
-                    if r:
-                        cls_rate[f.cls] = cls_rate.get(f.cls, 0.0) + r
-                link._agg_rate = agg
-                link._cls_rate = cls_rate
-                if agg > 0:
-                    self._active_links[link] = None
+                if link._agg_rate > 0:
+                    active[link] = None
                 else:
-                    self._active_links.pop(link, None)
+                    active.pop(link, None)
         now = self.env.now
         # Flush narration is batched: one net.flow event per coalesced
         # timestamp carrying every flow completed in this flush (a
@@ -563,18 +576,91 @@ class Fabric:
             frontier = nxt
         return list(links), list(flows)
 
+    def _one_round_share(self, links: List[Link], flows: List[Flow]) -> Optional[float]:
+        """The rate of every flow when :func:`waterfill`'s first round
+        freezes the whole component at one share, else None.
+
+        That happens exactly when every link within ``_REL_EPS`` of the
+        lowest fair share carries every flow of the component and no
+        flow's own cap is at or below that tolerance.
+        """
+        n = len(flows)
+        low = float("inf")
+        for link in links:
+            c = len(link._flows)
+            if c and link._capacity / c < low:
+                low = link._capacity / c
+        tol = low + _REL_EPS * max(1.0, abs(low))
+        for link in links:
+            c = len(link._flows)
+            if c and c < n and link._capacity / c <= tol:
+                return None
+        if self._capped:
+            for f in flows:
+                if f.max_rate is not None and f.max_rate <= tol:
+                    return None
+        # Every tight link is on every route, so the first flow's route
+        # meets the minimum first, as waterfill's link order does.
+        return min(link._capacity / len(link._flows) for link in flows[0].route)
+
+    def _settle_by_waterfill(self, links: List[Link], flows: List[Flow]) -> None:
+        """Allocate a component by water-filling; sum each link's rates
+        flow by flow."""
+        if flows:
+            rates = waterfill(
+                {l: l._capacity for l in links},
+                [f.route for f in flows],
+                [f.max_rate for f in flows],
+            )
+            for f, r in zip(flows, rates):
+                f.rate = r
+        for link in links:
+            agg = 0.0
+            cls_rate: Dict[str, float] = {}
+            for f in link._flows:
+                r = f.rate
+                agg += r
+                if r:
+                    cls_rate[f.cls] = cls_rate.get(f.cls, 0.0) + r
+            link._agg_rate = agg
+            link._cls_rate = cls_rate
+
+    def _settle_one_round(self, links: List[Link], flows: List[Flow], share: float) -> None:
+        """Give every flow *share*; build link aggregates from counts."""
+        for f in flows:
+            f.rate = share
+        # sums[k] is share added k times in order: the same float as
+        # summing k flows' rates one by one.
+        sums = list(accumulate(repeat(share, len(flows)), initial=0.0))
+        for link in links:
+            link._agg_rate = sums[len(link._flows)]
+            cls_rate: Dict[str, float] = {}
+            if share:
+                counts = link._cls_count
+                for f in link._flows:  # classes in order of their oldest flow
+                    if f.cls not in cls_rate:
+                        cls_rate[f.cls] = sums[counts[f.cls]]
+                        if len(cls_rate) == len(counts):
+                            break
+            link._cls_rate = cls_rate
+
     def _detach(self, flow: Flow) -> None:
         for link in flow.route:
             if flow not in link._flows:
                 continue
             del link._flows[flow]
-            link._agg_rate = max(0.0, link._agg_rate - flow.rate)
-            if flow.rate and flow.cls in link._cls_rate:
-                link._cls_rate[flow.cls] = max(
-                    0.0, link._cls_rate[flow.cls] - flow.rate
-                )
+            counts = link._cls_count
+            left = counts[flow.cls] - 1
+            if left:
+                counts[flow.cls] = left
+            else:
+                del counts[flow.cls]
             self._dirty[link] = None
-        self._flows.pop(flow, None)
+        if flow in self._flows:
+            del self._flows[flow]
+            if flow.max_rate is not None:
+                self._capped -= 1
+            self._done.pop(flow, None)
 
     def _advance(self) -> None:
         """Progress all flows and link statistics to the current time."""
@@ -582,9 +668,15 @@ class Fabric:
         dt = now - self._last
         if dt <= 0:
             return
+        done = self._done
         for f in self._flows:
-            if f.rate:
-                f.remaining = max(0.0, f.remaining - f.rate * dt)
+            r = f.rate
+            if r:
+                left = f.remaining - r * dt
+                left = left if left > 0.0 else 0.0  # max(0.0, left), without the call
+                f.remaining = left
+                if left <= f._done_at:
+                    done[f] = None
         for link in self._active_links:
             moved = link._agg_rate * dt
             link.bytes_moved += moved
