@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Optional, Set, Union
 
-from ..desim import Environment, TransferCancelled
-from ..net import Fabric, TrafficClass
+from ..desim import Environment
+from ..net import Fabric, TrafficClass, TransferCancelled
 from .squid import ProxyFarm, SquidProxy, SquidTimeout
 
 __all__ = ["FrontierService"]

@@ -17,8 +17,8 @@ from __future__ import annotations
 from itertools import count
 from typing import List, Optional
 
-from ..desim import Environment, Topics, TransferCancelled
-from ..net import Fabric, TrafficClass
+from ..desim import Environment, Topics
+from ..net import Fabric, TrafficClass, TransferCancelled
 
 __all__ = ["SquidProxy", "SquidTimeout", "ProxyFarm"]
 
@@ -112,8 +112,8 @@ class SquidProxy:
         fabric = self.fabric
         if (
             client_link is not None
-            and getattr(client_link, "fabric", None) is fabric
-            and getattr(client_link, "node", None) is not None
+            and client_link.fabric is fabric
+            and client_link.node is not None
         ):
             return fabric.transfer(
                 nbytes, src=self.data_link.node, dst=client_link.node, cls=cls

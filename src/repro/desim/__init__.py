@@ -5,10 +5,10 @@ HTCondor pool, CVMFS caches, storage servers) are modelled.  It provides:
 
 * :class:`Environment` — the simulation clock and event queue,
 * generator-based processes with interrupts (used for evictions),
-* :class:`Resource`, :class:`Store`, :class:`Container` synchronisation
-  primitives,
-* :class:`FairShareLink` — max-min fair bandwidth sharing for network
-  and disk contention modelling.
+* :class:`Resource` and :class:`Store` synchronisation primitives,
+* :class:`EventBus` — the structured event spine every layer publishes to.
+
+Bandwidth sharing lives one layer up, in :mod:`repro.net`.
 
 Example
 -------
@@ -35,17 +35,7 @@ from .events import (
     StopProcess,
     Timeout,
 )
-from .bandwidth import FairShareLink, Transfer, TransferCancelled, allocate_max_min
-from .trace import Tracer
-from .resources import (
-    Container,
-    Preempted,
-    PreemptiveResource,
-    PriorityResource,
-    PriorityStore,
-    Resource,
-    Store,
-)
+from .resources import Resource, Store
 
 __all__ = [
     "Environment",
@@ -61,17 +51,7 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Resource",
-    "PriorityResource",
-    "PreemptiveResource",
-    "Preempted",
-    "Container",
     "Store",
-    "PriorityStore",
-    "FairShareLink",
-    "Transfer",
-    "TransferCancelled",
-    "allocate_max_min",
-    "Tracer",
     "BusEvent",
     "EventBus",
     "MemorySink",

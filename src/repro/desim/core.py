@@ -128,7 +128,7 @@ class Environment:
     boolean check per event.
     """
 
-    def __init__(self, initial_time: float = 0.0, tracer=None, bus: Optional[EventBus] = None):
+    def __init__(self, initial_time: float = 0.0, bus: Optional[EventBus] = None):
         self._now = float(initial_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = count()
@@ -140,12 +140,9 @@ class Environment:
             # Ports compiled while the bus was env-less stamp time 0.0;
             # recompile them against this environment's clock.
             self.bus._changed()
-        self._tracer = tracer
         #: Attach point for a :class:`repro.monitor.tracing.SpanTracer`;
         #: substrate layers reach it duck-typed (never importing monitor).
         self.spans = None
-        #: Cached: does schedule()/step() need to call instrumentation?
-        self._instrumented = tracer is not None
         #: Same-timestamp kernel.step compaction: kind -> [count, queued].
         #: One coalesced event per (timestamp, kind) is flushed when the
         #: clock advances (and at run end), so a kernel.step subscriber
@@ -156,41 +153,28 @@ class Environment:
         self._refresh_instrumentation()
 
     # -- instrumentation ---------------------------------------------------
-    @property
-    def tracer(self):
-        """Optional :class:`repro.desim.Tracer` collecting kernel stats."""
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, tracer) -> None:
-        self._tracer = tracer
-        self._refresh_instrumentation()
-
     def _refresh_instrumentation(self) -> None:
         was_subscribed = getattr(self, "_kernel_subscribed", False)
+        # Cached: while set, run() takes step(), which batches kernel.step.
         self._kernel_subscribed = self.bus.has_subscribers(Topics.KERNEL_STEP)
-        self._instrumented = self._tracer is not None or self._kernel_subscribed
         if was_subscribed and not self._kernel_subscribed:
             # The last kernel.step subscriber left: flush what it is
             # still owed before the fast loop takes over.
             self._flush_steps()
 
     def _instrument_step(self, event: Event) -> None:
-        if self._tracer is not None:
-            self._tracer.on_step(self, event)
-        if self._kernel_subscribed:
+        batch = self._step_batch
+        if batch and self._step_batch_time != self._now:
+            self._flush_steps()
             batch = self._step_batch
-            if batch and self._step_batch_time != self._now:
-                self._flush_steps()
-                batch = self._step_batch
-            self._step_batch_time = self._now
-            kind = type(event).__name__
-            entry = batch.get(kind)
-            if entry is None:
-                batch[kind] = [1, len(self._queue)]
-            else:
-                entry[0] += 1
-                entry[1] = len(self._queue)
+        self._step_batch_time = self._now
+        kind = type(event).__name__
+        entry = batch.get(kind)
+        if entry is None:
+            batch[kind] = [1, len(self._queue)]
+        else:
+            entry[0] += 1
+            entry[1] = len(self._queue)
 
     def _flush_steps(self) -> None:
         """Publish the coalesced kernel.step batch (one event per kind)."""
@@ -217,8 +201,6 @@ class Environment:
     # -- scheduling --------------------------------------------------------
     def schedule(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:
         """Insert *event* into the queue after *delay* time units."""
-        if self._tracer is not None:
-            self._tracer.on_schedule(self, event)
         heapq.heappush(self._queue, (self._now + delay, priority, next(self._eid), event))
 
     def peek(self) -> float:
@@ -235,7 +217,7 @@ class Environment:
         callbacks, event.callbacks = event.callbacks, None
         if callbacks is None:  # pragma: no cover - double-processing guard
             return
-        if self._instrumented:
+        if self._kernel_subscribed:
             self._instrument_step(event)
         for callback in callbacks:
             callback(event)
@@ -277,16 +259,16 @@ class Environment:
 
         # The dispatch loop below is step() inlined: one heappop, one
         # callbacks swap, and a batched callback sweep per event, with
-        # the bound methods hoisted out of the loop.  Instrumented
-        # environments (tracer attached or a kernel.step subscriber) fall
-        # back to the full step() so hooks keep firing; the flag is
-        # re-read every iteration, so attaching mid-run takes effect.
+        # the bound methods hoisted out of the loop.  With a kernel.step
+        # subscriber the loop falls back to the full step() so the batch
+        # keeps filling; the flag is re-read every iteration, so
+        # subscribing mid-run takes effect.
         pop = heapq.heappop
         queue = self._queue
         step = self.step
         try:
             while True:
-                if self._instrumented:
+                if self._kernel_subscribed:
                     step()
                     continue
                 try:
@@ -325,14 +307,10 @@ class Environment:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event that fires after *delay* time units."""
-        if self._tracer is not None:
-            return Timeout(self, delay, value)
-        # Fast path: build the event inline and push it straight onto the
-        # queue, skipping the Event/Timeout constructor chain and the
-        # schedule() indirection.  Timeouts dominate big simulations, so
-        # this is the kernel's single hottest allocation site.  Only an
-        # attached tracer needs the slow constructor (its on_schedule
-        # hook); a mere kernel.step subscriber does not tax this site.
+        # Build the event inline and push it straight onto the queue,
+        # skipping the Event/Timeout constructor chain and the schedule()
+        # indirection.  Timeouts dominate big simulations, so this is the
+        # kernel's single hottest allocation site.
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         ev = Timeout.__new__(Timeout)

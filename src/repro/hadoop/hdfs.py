@@ -5,6 +5,7 @@ Lobster's storage element at Notre Dame was HDFS behind a Chirp server.
 The model captures what affects merge performance: block placement over
 datanodes, pipelined replicated writes, and data-local reads that bypass
 the front-end server entirely (the advantage of merging *inside* Hadoop).
+Every HDFS byte is a :class:`~repro.net.Flow` of class ``merge``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..desim import Environment, FairShareLink
+from ..desim import Environment
+from ..net import Fabric, TrafficClass
 
 __all__ = ["DataNode", "HdfsBlock", "HdfsFile", "HDFS"]
 
@@ -24,7 +26,12 @@ GBIT = 125_000_000.0
 
 
 class DataNode:
-    """One storage node: a disk and a NIC, both fair-shared."""
+    """One storage node: a disk and a NIC, both fair-shared.
+
+    Each is a standalone :class:`~repro.net.Link` on a single-link
+    fabric of its own, so HDFS traffic shares nothing with the campus
+    tree.
+    """
 
     _ids = count()
 
@@ -37,8 +44,8 @@ class DataNode:
     ):
         self.env = env
         self.name = name or f"datanode{next(self._ids):03d}"
-        self.disk = FairShareLink(env, disk_bandwidth, name=f"{self.name}.disk")
-        self.nic = FairShareLink(env, nic_bandwidth, name=f"{self.name}.nic")
+        self.disk = Fabric(env).attach(f"{self.name}.disk", disk_bandwidth)
+        self.nic = Fabric(env).attach(f"{self.name}.nic", nic_bandwidth)
         self.blocks_stored = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -150,9 +157,9 @@ class HDFS:
             if size > 0:
                 # Pipelined write: all replica disks work concurrently;
                 # the block lands when the slowest replica finishes.
-                flows = [dn.disk.transfer(size) for dn in replicas]
+                flows = [dn.disk.transfer(size, cls=TrafficClass.MERGE) for dn in replicas]
                 # Off-node replicas also cross their NICs.
-                flows += [dn.nic.transfer(size) for dn in replicas[1:]]
+                flows += [dn.nic.transfer(size, cls=TrafficClass.MERGE) for dn in replicas[1:]]
                 try:
                     yield self.env.all_of(flows)
                 except BaseException:
@@ -183,12 +190,15 @@ class HDFS:
                 continue
             if local is not None and local in block.replicas:
                 src = local
-                flows = [src.disk.transfer(block.size)]
+                flows = [src.disk.transfer(block.size, cls=TrafficClass.MERGE)]
             else:
                 src = block.replicas[
                     int(self.rng.integers(0, len(block.replicas)))
                 ]
-                flows = [src.disk.transfer(block.size), src.nic.transfer(block.size)]
+                flows = [
+                    src.disk.transfer(block.size, cls=TrafficClass.MERGE),
+                    src.nic.transfer(block.size, cls=TrafficClass.MERGE),
+                ]
             try:
                 yield self.env.all_of(flows)
             except BaseException:

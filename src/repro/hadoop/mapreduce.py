@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..desim import Environment, Resource
+from ..net import TrafficClass
 from .hdfs import HDFS, DataNode
 
 __all__ = ["MapReduceJob", "MapReduceEngine", "TaskCost"]
@@ -116,7 +117,7 @@ class MapReduceEngine:
             yield slot
             cost = job.map_cost(record)
             if cost.read_bytes > 0:
-                flow = node.disk.transfer(cost.read_bytes)
+                flow = node.disk.transfer(cost.read_bytes, cls=TrafficClass.MERGE)
                 yield flow
             if cost.cpu_seconds > 0:
                 yield self.env.timeout(cost.cpu_seconds)
@@ -132,8 +133,8 @@ class MapReduceEngine:
                 # Pull the input files to this node: crosses its NIC and
                 # its disk (copy to local scratch).
                 flows = [
-                    node.nic.transfer(cost.read_bytes),
-                    node.disk.transfer(cost.read_bytes),
+                    node.nic.transfer(cost.read_bytes, cls=TrafficClass.MERGE),
+                    node.disk.transfer(cost.read_bytes, cls=TrafficClass.MERGE),
                 ]
                 yield self.env.all_of(flows)
             if cost.cpu_seconds > 0:

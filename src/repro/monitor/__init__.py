@@ -19,7 +19,6 @@ from .metrics import EventLog, TimeSeries
 from .records import RunMetrics, RuntimeBreakdown, TaskRecord
 from .report import ascii_bar, ascii_timeline, render_report
 from .rollup import Rollup, SegmentDigest, verify_parity
-from .samplers import LinkSampler, sample_links
 from .stats import (
     SegmentStats,
     all_segment_stats,
@@ -73,8 +72,6 @@ __all__ = [
     "JsonlSink",
     "CsvSink",
     "load_events",
-    "LinkSampler",
-    "sample_links",
     "TraceContext",
     "Span",
     "SpanTracer",

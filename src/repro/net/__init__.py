@@ -11,7 +11,7 @@ modelling.
 """
 
 from .allocator import waterfill
-from .fabric import Fabric, Flow, Link, LinkDown, TrafficClass, transfer_on
+from .fabric import Fabric, Flow, Link, LinkDown, TrafficClass, TransferCancelled
 from .topology import TopologySpec, rack_for
 
 __all__ = [
@@ -20,8 +20,8 @@ __all__ = [
     "Link",
     "LinkDown",
     "TrafficClass",
+    "TransferCancelled",
     "TopologySpec",
     "rack_for",
-    "transfer_on",
     "waterfill",
 ]

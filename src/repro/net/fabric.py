@@ -18,9 +18,11 @@ When one link at the component's lowest fair share carries every flow
 of the component, the recompute settles it from the links' live flow
 counts without calling :func:`~repro.net.allocator.waterfill`.
 
-Single-link fabrics reproduce :class:`~repro.desim.FairShareLink`
-dynamics exactly, which is how legacy constructors keep working: a
-component built without a shared fabric gets a private flat one.
+The fabric is the simulator's only bandwidth model.  A point resource
+with no place in the tree (a disk, a request-rate budget) is a
+standalone :class:`Link`, and a component built without a shared fabric
+gets a private one; each HDFS DataNode's disk and NIC is a standalone
+link alone on its own fabric.
 """
 
 from __future__ import annotations
@@ -29,12 +31,11 @@ from itertools import accumulate, count, repeat
 from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..desim import Environment, Timeout, Topics, TransferCancelled
-from ..desim.bandwidth import allocate_max_min
+from ..desim import Environment, Timeout, Topics
 from ..desim.events import Event, PENDING
 from .allocator import _REL_EPS, waterfill
 
-__all__ = ["Fabric", "Flow", "Link", "LinkDown", "TrafficClass", "transfer_on"]
+__all__ = ["Fabric", "Flow", "Link", "LinkDown", "TrafficClass", "TransferCancelled"]
 
 _EPS = 1e-9
 _by_start = attrgetter("_seq")
@@ -54,6 +55,10 @@ class TrafficClass:
     ALL = (CVMFS, FRONTIER, XROOTD, STAGING, OUTPUT, MERGE, DEFAULT)
 
 
+class TransferCancelled(Exception):
+    """A flow was cancelled (e.g. worker evicted mid-stream)."""
+
+
 class LinkDown(TransferCancelled):
     """A flow was failed because a link on its route went down."""
 
@@ -61,9 +66,10 @@ class LinkDown(TransferCancelled):
 class Flow(Event):
     """An in-flight transfer occupying every link along its route.
 
-    API-compatible with :class:`~repro.desim.Transfer` (``nbytes``,
-    ``remaining``, ``rate``, ``elapsed``, ``cancel()``) so call sites
-    can hold either.
+    A DES event: it succeeds (with itself as value) once ``remaining``
+    reaches zero, and fails with :class:`TransferCancelled` on
+    :meth:`cancel` or with :class:`LinkDown` when a link on the route
+    goes down.
     """
 
     __slots__ = (
@@ -116,11 +122,6 @@ class Flow(Event):
     def elapsed(self) -> float:
         return self.env.now - self.started
 
-    @property
-    def link(self) -> Optional["Link"]:
-        """The first link of the route (Transfer-API compatibility)."""
-        return self.route[0] if self.route else None
-
     def cancel(self) -> None:
         """Abort the flow; it fails with :class:`TransferCancelled`.
 
@@ -139,10 +140,10 @@ class Flow(Event):
 class Link:
     """One named edge of the fabric with max-min shared capacity.
 
-    Drop-in surface for :class:`~repro.desim.FairShareLink`: single-link
-    ``transfer`` / ``set_capacity`` / ``active_flows`` / ``bytes_moved``
-    / ``utilization`` behave identically, plus per-traffic-class byte
-    accounting and link-level outage schedules.
+    ``transfer`` moves bytes across just this link; ``set_capacity``
+    re-shares live flows (0 = outage); ``active_flows``,
+    ``bytes_moved``, ``bytes_by_class`` and ``utilization`` report its
+    load; ``schedule_outages`` drives link-level outage windows.
     """
 
     def __init__(
@@ -178,7 +179,7 @@ class Link:
         self._saved_capacity = self._capacity
         self.outages_seen = 0
 
-    # -- FairShareLink-compatible surface ---------------------------------
+    # -- capacity and load -------------------------------------------------
     @property
     def capacity(self) -> float:
         return self._capacity
@@ -210,25 +211,16 @@ class Link:
         :meth:`reset_utilization_window`) and ends now.
         """
         self.fabric._advance()
-        horizon = self.env.now - self._window_start
-        if horizon <= 0 or self._capacity <= 0:
+        window = self._capacity * (self.env.now - self._window_start)
+        if window <= 0:  # no time, no capacity, or a product that underflows
             return 0.0
-        return min(1.0, self._busy_integral / (self._capacity * horizon))
+        return min(1.0, self._busy_integral / window)
 
     def reset_utilization_window(self) -> None:
         """Start a fresh utilization window at the current time."""
         self.fabric._advance()
         self._busy_integral = 0.0
         self._window_start = self.env.now
-
-    def estimate_duration(self, nbytes: float, max_rate: Optional[float] = None) -> float:
-        """Duration estimate for a new transfer at current congestion,
-        honouring existing flows' own rate caps."""
-        if self._capacity <= 0:
-            return float("inf")
-        demands = [f.max_rate for f in self._flows] + [max_rate]
-        rate = allocate_max_min(demands, self._capacity)[-1]
-        return nbytes / rate if rate > 0 else float("inf")
 
     # -- outage schedules --------------------------------------------------
     def schedule_outages(self, windows: Sequence, fail_after: Optional[float] = 30.0) -> None:
@@ -284,15 +276,6 @@ class Link:
             f"<Link {self.name!r} cap={self._capacity:.0f}B/s "
             f"flows={len(self._flows)}>"
         )
-
-
-def transfer_on(link, nbytes: float, cls: str = TrafficClass.DEFAULT, max_rate: Optional[float] = None):
-    """Start a transfer on either a :class:`Link` (tagged with *cls*)
-    or a plain :class:`~repro.desim.FairShareLink` (which has no
-    traffic-class accounting)."""
-    if isinstance(link, Link):
-        return link.transfer(nbytes, max_rate=max_rate, cls=cls)
-    return link.transfer(nbytes, max_rate=max_rate)
 
 
 class Fabric:

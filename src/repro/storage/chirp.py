@@ -20,7 +20,7 @@ from itertools import count
 from typing import Optional
 
 from ..desim import Environment, Resource, Topics
-from ..net import Fabric, TrafficClass, transfer_on
+from ..net import Fabric, TrafficClass
 
 __all__ = ["ChirpError", "ChirpServer"]
 
@@ -150,8 +150,8 @@ class ChirpServer:
             yield self.env.timeout(self.accept_latency)
             if (
                 client_link is not None
-                and getattr(client_link, "fabric", None) is self.fabric
-                and getattr(client_link, "node", None) is not None
+                and client_link.fabric is self.fabric
+                and client_link.node is not None
             ):
                 # One end-to-end flow between the client and the SE
                 # spindles, crossing every link on the way.
@@ -161,7 +161,7 @@ class ChirpServer:
             else:
                 flows = [self.link.transfer(nbytes, cls=cls)]
                 if client_link is not None:
-                    flows.append(transfer_on(client_link, nbytes, cls=cls))
+                    flows.append(client_link.transfer(nbytes, cls=cls))
             try:
                 if len(flows) == 1:
                     yield flows[0]

@@ -23,7 +23,7 @@ every byte moved here lands under the task attempt that moved it.
 
 from __future__ import annotations
 
-from ..net import TrafficClass, transfer_on
+from ..net import TrafficClass
 from ..storage.integrity import IntegrityError
 
 __all__ = ["ship"]
@@ -43,13 +43,8 @@ def ship(
         return 0.0
     env = src.env
     start = env.now
-    fabric = getattr(src, "fabric", None)
-    if (
-        fabric is not None
-        and getattr(dst, "fabric", None) is fabric
-        and getattr(src, "node", None) is not None
-        and getattr(dst, "node", None) is not None
-    ):
+    fabric = src.fabric
+    if dst.fabric is fabric and src.node is not None and dst.node is not None:
         flow = fabric.transfer(nbytes, src=src.node, dst=dst.node, cls=cls)
         try:
             yield flow
@@ -57,8 +52,8 @@ def ship(
             flow.cancel()
             raise
     else:
-        a = transfer_on(src, nbytes, cls=cls)
-        b = transfer_on(dst, nbytes, cls=cls)
+        a = src.transfer(nbytes, cls=cls)
+        b = dst.transfer(nbytes, cls=cls)
         try:
             yield a & b
         except BaseException:

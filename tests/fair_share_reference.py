@@ -1,15 +1,14 @@
-"""Max-min fair-share bandwidth links.
+"""The single-link bandwidth model the fabric replaced, kept as a reference.
 
-A :class:`FairShareLink` models a network resource (WAN uplink, disk
-spindle, proxy NIC) whose capacity is divided among concurrent flows with
-max-min fairness: every flow gets an equal share unless capped by its own
-maximum rate, in which case the spare capacity is redistributed.
-
-Transfers are events: processes ``yield link.transfer(nbytes)`` and resume
-once the bytes have moved.  Rates are recomputed whenever the flow set or
-the link capacity changes, so transfer durations respond dynamically to
-congestion — exactly the effect the paper observes when ~9000 tasks share
-a 10 Gbit/s campus link (Fig 10).
+Before every link moved onto :mod:`repro.net`, a point resource (a disk,
+a NIC) was a ``FairShareLink`` that split its capacity with
+:func:`allocate_max_min`.  Both are copied here from the removed
+``repro.desim.bandwidth`` with only their imports changed (a cancel now
+raises :class:`repro.net.TransferCancelled`); ``estimate_duration`` and
+the utilization methods, which no test compares, are left out.  ``tests/test_desim_bandwidth.py``
+checks that a :class:`~repro.net.Link` on a single-link fabric gives the
+same outcomes, and ``tests/test_property_based.py`` that single-link
+:func:`~repro.net.waterfill` gives the same rates.
 """
 
 from __future__ import annotations
@@ -17,16 +16,13 @@ from __future__ import annotations
 from itertools import count
 from typing import List, Optional
 
-from .core import Environment
-from .events import Event, PENDING
+from repro.desim import Environment
+from repro.desim.events import Event, PENDING
+from repro.net import TransferCancelled
 
-__all__ = ["FairShareLink", "Transfer", "TransferCancelled", "allocate_max_min"]
+__all__ = ["FairShareLink", "Transfer", "allocate_max_min"]
 
 _EPS = 1e-9
-
-
-class TransferCancelled(Exception):
-    """A transfer was cancelled (e.g. worker evicted mid-stream)."""
 
 
 def allocate_max_min(demands: List[Optional[float]], capacity: float) -> List[float]:
@@ -86,9 +82,6 @@ class Transfer(Event):
         self._defused = True
         self.fail(TransferCancelled(f"{self.nbytes - self.remaining:.0f}/{self.nbytes:.0f} bytes moved"))
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Transfer {self.nbytes:.0f}B remaining={self.remaining:.0f}B rate={self.rate:.0f}B/s>"
-
 
 class FairShareLink:
     """A link of fixed *capacity* (bytes/second) shared by live transfers.
@@ -122,24 +115,6 @@ class FairShareLink:
     def active_flows(self) -> int:
         return len(self._flows)
 
-    def utilization(self) -> float:
-        """Mean fraction of capacity in use over the current window.
-
-        The window starts at link creation (or the last call to
-        :meth:`reset_utilization_window`) and ends now.
-        """
-        self._advance()
-        horizon = self.env.now - self._window_start
-        if horizon <= 0 or self._capacity <= 0:
-            return 0.0
-        return min(1.0, self._busy_integral / (self._capacity * horizon))
-
-    def reset_utilization_window(self) -> None:
-        """Start a fresh utilization window at the current time."""
-        self._advance()
-        self._busy_integral = 0.0
-        self._window_start = self.env.now
-
     def transfer(self, nbytes: float, max_rate: Optional[float] = None) -> Transfer:
         """Begin moving *nbytes*; returns the completion event."""
         if nbytes < 0:
@@ -160,19 +135,6 @@ class FairShareLink:
         self._advance()
         self._capacity = float(capacity)
         self._update()
-
-    def estimate_duration(self, nbytes: float, max_rate: Optional[float] = None) -> float:
-        """Duration estimate for a new transfer at current congestion.
-
-        Honours existing flows' own ``max_rate`` caps: a link full of
-        capped trickle flows still serves a new uncapped transfer at
-        nearly full capacity.
-        """
-        if self._capacity <= 0:
-            return float("inf")
-        demands = [f.max_rate for f in self._flows] + [max_rate]
-        rate = allocate_max_min(demands, self._capacity)[-1]
-        return nbytes / rate if rate > 0 else float("inf")
 
     # -- internals ------------------------------------------------------------
     def _advance(self) -> None:
@@ -250,6 +212,3 @@ class FairShareLink:
             return  # superseded by a later update
         self._advance()
         self._update()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<FairShareLink {self.name!r} cap={self._capacity:.0f}B/s flows={len(self._flows)}>"

@@ -262,14 +262,14 @@ def _ticks(env, n):
 
 def test_kernel_instrumentation_flag_follows_subscription():
     env = Environment()
-    assert not env._instrumented
+    assert not env._kernel_subscribed
     sub = env.bus.subscribe(Topics.KERNEL_STEP, lambda e: None)
-    assert env._instrumented
+    assert env._kernel_subscribed
     sub.cancel()
-    assert not env._instrumented
+    assert not env._kernel_subscribed
 
 
 def test_non_kernel_subscription_keeps_fast_path():
     env = Environment()
     env.bus.subscribe("task.*", lambda e: None)
-    assert not env._instrumented  # hot loop untouched by domain topics
+    assert not env._kernel_subscribed  # hot loop untouched by domain topics

@@ -1,45 +1,65 @@
-"""Tests for the max-min fair-share bandwidth link."""
+"""Bandwidth sharing on one link: a :class:`~repro.net.Link` alone on its
+fabric, and single-link :func:`~repro.net.waterfill`.
+
+A point resource (an HDFS disk or NIC, a component built without a
+shared fabric) is such a link.  The link cases below pin its dynamics;
+the stream test checks it against ``FairShareLink``, the single-link
+model it replaced, kept in ``tests/fair_share_reference.py``.
+"""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.desim import Environment, FairShareLink, TransferCancelled
-from repro.desim.bandwidth import allocate_max_min
+from repro.desim import Environment
+from repro.net import Fabric, TransferCancelled, waterfill
+
+from .fair_share_reference import FairShareLink
+
+
+def single_link(demands, capacity):
+    """Max-min rates of flows with caps *demands* on one link."""
+    return waterfill({0: capacity}, [(0,)] * len(demands), demands)
+
+
+def make_link(env, capacity):
+    return Fabric(env).attach("l", capacity)
 
 
 # ------------------------------------------------------------ allocation
 def test_allocate_equal_split_uncapped():
-    assert allocate_max_min([None, None], 100.0) == [50.0, 50.0]
+    assert single_link([None, None], 100.0) == [50.0, 50.0]
 
 
 def test_allocate_empty():
-    assert allocate_max_min([], 100.0) == []
+    assert single_link([], 100.0) == []
 
 
 def test_allocate_capped_flow_releases_spare():
-    rates = allocate_max_min([10.0, None], 100.0)
+    rates = single_link([10.0, None], 100.0)
     assert rates == [10.0, 90.0]
 
 
 def test_allocate_all_capped_below_capacity():
-    rates = allocate_max_min([10.0, 20.0], 100.0)
+    rates = single_link([10.0, 20.0], 100.0)
     assert rates == [10.0, 20.0]
 
 
 def test_allocate_three_way_waterfill():
     # cap 30 flow limited; other two split remaining 90 equally.
-    rates = allocate_max_min([30.0, None, None], 120.0)
+    rates = single_link([30.0, None, None], 120.0)
     assert rates == [30.0, 45.0, 45.0]
 
 
 def test_allocate_never_exceeds_capacity():
-    rates = allocate_max_min([None] * 7, 100.0)
+    rates = single_link([None] * 7, 100.0)
     assert sum(rates) == pytest.approx(100.0)
 
 
 # ------------------------------------------------------------ link behaviour
 def test_single_transfer_duration():
     env = Environment()
-    link = FairShareLink(env, capacity=100.0)
+    link = make_link(env, 100.0)
     done = []
 
     def proc(env):
@@ -53,7 +73,7 @@ def test_single_transfer_duration():
 
 def test_zero_byte_transfer_completes_immediately():
     env = Environment()
-    link = FairShareLink(env, capacity=100.0)
+    link = make_link(env, 100.0)
     done = []
 
     def proc(env):
@@ -67,7 +87,7 @@ def test_zero_byte_transfer_completes_immediately():
 
 def test_two_transfers_share_bandwidth():
     env = Environment()
-    link = FairShareLink(env, capacity=100.0)
+    link = make_link(env, 100.0)
     done = {}
 
     def proc(env, tag, nbytes):
@@ -84,7 +104,7 @@ def test_two_transfers_share_bandwidth():
 
 def test_late_joiner_slows_existing_flow():
     env = Environment()
-    link = FairShareLink(env, capacity=100.0)
+    link = make_link(env, 100.0)
     done = {}
 
     def early(env):
@@ -109,7 +129,7 @@ def test_late_joiner_slows_existing_flow():
 
 def test_max_rate_caps_flow():
     env = Environment()
-    link = FairShareLink(env, capacity=1000.0)
+    link = make_link(env, 1000.0)
     done = []
 
     def proc(env):
@@ -123,7 +143,7 @@ def test_max_rate_caps_flow():
 
 def test_cancel_mid_transfer():
     env = Environment()
-    link = FairShareLink(env, capacity=100.0)
+    link = make_link(env, 100.0)
     outcome = []
 
     def proc(env):
@@ -147,7 +167,7 @@ def test_cancel_mid_transfer():
 
 def test_cancel_frees_bandwidth_for_others():
     env = Environment()
-    link = FairShareLink(env, capacity=100.0)
+    link = make_link(env, 100.0)
     done = {}
 
     def victim(env):
@@ -178,7 +198,7 @@ def test_cancel_frees_bandwidth_for_others():
 
 def test_outage_stalls_transfers():
     env = Environment()
-    link = FairShareLink(env, capacity=100.0)
+    link = make_link(env, 100.0)
     done = []
 
     def proc(env):
@@ -200,7 +220,7 @@ def test_outage_stalls_transfers():
 
 def test_bytes_moved_accounting():
     env = Environment()
-    link = FairShareLink(env, capacity=100.0)
+    link = make_link(env, 100.0)
 
     def proc(env):
         yield link.transfer(500.0)
@@ -213,7 +233,7 @@ def test_bytes_moved_accounting():
 
 def test_many_concurrent_flows_complete():
     env = Environment()
-    link = FairShareLink(env, capacity=1000.0)
+    link = make_link(env, 1000.0)
     done = []
 
     def proc(env, nbytes):
@@ -229,18 +249,96 @@ def test_many_concurrent_flows_complete():
     assert max(done) == pytest.approx(127.5)
 
 
-def test_estimate_duration():
+def test_utilization_of_an_underflowing_window_is_zero():
+    # capacity * window underflows to 0.0: there is no window to divide by.
     env = Environment()
-    link = FairShareLink(env, capacity=100.0)
-    assert link.estimate_duration(100.0) == pytest.approx(1.0)
-    link.transfer(1e9)
-    assert link.estimate_duration(100.0) == pytest.approx(2.0)
+    link = make_link(env, 0.5)
+    env.run(until=5e-324)
+    assert link.utilization() == 0.0
 
 
 def test_negative_bytes_rejected():
     env = Environment()
-    link = FairShareLink(env, capacity=100.0)
+    link = make_link(env, 100.0)
     with pytest.raises(ValueError):
         link.transfer(-1.0)
     with pytest.raises(ValueError):
         link.set_capacity(-5.0)
+
+
+# ------------------------------------------------- the replaced model
+REL = 1e-12
+
+ops = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=20.0),  # gap before the op
+        st.one_of(
+            st.tuples(
+                st.just("start"),
+                st.floats(min_value=0.0, max_value=1e4),
+                st.one_of(st.none(), st.floats(min_value=0.01, max_value=1e3)),
+            ),
+            st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=30)),
+            st.tuples(
+                st.just("capacity"),
+                st.one_of(st.just(0.0), st.floats(min_value=0.1, max_value=1e4)),
+            ),
+        ),
+    ),
+    max_size=30,
+)
+
+
+def _drive(make, capacity, stream):
+    """Apply *stream* to a fresh link; returns how and when each flow
+    ended, and the bytes moved."""
+    env = Environment()
+    link = make(env, capacity)
+    flows = []
+    ends = {}
+
+    def watch(i, flow):
+        try:
+            yield flow
+            ends[i] = ("done", env.now)
+        except TransferCancelled:
+            ends[i] = ("cancelled", env.now)
+
+    def apply_ops(env):
+        for gap, op in stream:
+            yield env.timeout(gap)
+            if op[0] == "start":
+                flow = link.transfer(op[1], max_rate=op[2])
+                env.process(watch(len(flows), flow))
+                flows.append(flow)
+            elif op[0] == "cancel" and flows:
+                flows[op[1] % len(flows)].cancel()
+            elif op[0] == "capacity":
+                link.set_capacity(op[1])
+
+    env.process(apply_ops(env))
+    env.run()
+    return ends, link.bytes_moved
+
+
+def _close(a, b):
+    return a == pytest.approx(b, rel=REL, abs=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(capacity=st.floats(min_value=0.1, max_value=1e4), stream=ops)
+def test_link_matches_the_fair_share_reference(capacity, stream):
+    """Uncapped and capped flows, cancels and capacity changes end the
+    same on a single-link fabric as on ``FairShareLink``: the same flows
+    finish or are cancelled, at times within 1e-12 relative, and the
+    link moves the same bytes within 1e-12 relative.  The rates are not
+    bit-identical: one link splits its capacity as ``capacity / n``,
+    the reference in sequence."""
+    ref_ends, ref_moved = _drive(FairShareLink, capacity, stream)
+    ends, moved = _drive(make_link, capacity, stream)
+    assert ends.keys() == ref_ends.keys()  # the rest stalled at capacity 0
+    for i, (kind, t) in ends.items():
+        ref_kind, ref_t = ref_ends[i]
+        assert _close(t, ref_t), (i, kind, t, ref_kind, ref_t)
+        assert kind == ref_kind, (i, kind, ref_kind)
+    assert _close(moved, ref_moved)

@@ -410,47 +410,3 @@ def test_simulate_helper_runs_factories():
     env = simulate([factory, factory])
     assert log == [2.0, 2.0]
     assert env.now == 2.0
-
-
-def test_tracer_counts_events():
-    from repro.desim import Tracer
-
-    tracer = Tracer(ring_size=10)
-    env = Environment(tracer=tracer)
-
-    def proc(env):
-        yield env.timeout(1)
-        yield env.timeout(2)
-
-    env.process(proc(env))
-    env.run()
-    s = tracer.summary()
-    assert s["processed"] >= 3  # Initialize + 2 timeouts
-    assert s["scheduled"] >= s["processed"]
-    assert s["by_type"].get("Timeout", 0) == 2
-    assert tracer.max_queue_depth >= 1
-    assert len(tracer.ring) >= 3
-    assert tracer.top_types(1)[0][1] >= 1
-
-
-def test_tracer_ring_bounded():
-    from repro.desim import Tracer
-
-    tracer = Tracer(ring_size=5)
-    env = Environment(tracer=tracer)
-
-    def proc(env):
-        for _ in range(20):
-            yield env.timeout(1)
-
-    env.process(proc(env))
-    env.run()
-    assert len(tracer.ring) == 5
-
-
-def test_tracer_validation():
-    from repro.desim import Tracer
-    import pytest as _pytest
-
-    with _pytest.raises(ValueError):
-        Tracer(ring_size=-1)

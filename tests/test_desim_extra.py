@@ -2,15 +2,7 @@
 
 import pytest
 
-from repro.desim import (
-    Container,
-    Environment,
-    Interrupt,
-    PriorityResource,
-    PriorityStore,
-    Resource,
-    Store,
-)
+from repro.desim import Environment, Interrupt, Resource, Store
 
 
 # ---------------------------------------------------------------- conditions
@@ -114,53 +106,6 @@ def test_event_trigger_copies_outcome():
 
 
 # ---------------------------------------------------------------- resources
-def test_priority_resource_fifo_within_priority():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder(env):
-        with res.request(priority=0) as req:
-            yield req
-            yield env.timeout(10)
-
-    def waiter(env, tag, delay):
-        yield env.timeout(delay)
-        with res.request(priority=5) as req:
-            yield req
-            order.append(tag)
-            yield env.timeout(1)
-
-    env.process(holder(env))
-    env.process(waiter(env, "first", 1))
-    env.process(waiter(env, "second", 2))
-    env.run()
-    assert order == ["first", "second"]
-
-
-def test_container_multiple_getters_served_in_order():
-    env = Environment()
-    tank = Container(env, capacity=100, init=0)
-    served = []
-
-    def getter(env, tag, amount):
-        yield tank.get(amount)
-        served.append((tag, env.now))
-
-    def feeder(env):
-        for _ in range(3):
-            yield env.timeout(10)
-            yield tank.put(10)
-
-    env.process(getter(env, "a", 10))
-    env.process(getter(env, "b", 10))
-    env.process(getter(env, "c", 10))
-    env.process(feeder(env))
-    env.run()
-    assert [s[0] for s in served] == ["a", "b", "c"]
-    assert [s[1] for s in served] == [10.0, 20.0, 30.0]
-
-
 def test_store_put_cancel():
     env = Environment()
     store = Store(env, capacity=1)
@@ -182,28 +127,6 @@ def test_store_put_cancel():
     assert outcomes == ["gave-up"]
     assert store.items == ["x"]
     assert store._put_waiters == []
-
-
-def test_priority_store_with_tuples():
-    env = Environment()
-    store = PriorityStore(env)
-    got = []
-
-    def producer(env):
-        yield store.put((3, "low"))
-        yield store.put((1, "high"))
-        yield store.put((2, "mid"))
-
-    def consumer(env):
-        yield env.timeout(1)
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item[1])
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert got == ["high", "mid", "low"]
 
 
 def test_resource_queue_survives_cancelled_holder():

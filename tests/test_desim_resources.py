@@ -1,18 +1,8 @@
-"""Tests for Resource, Container, Store primitives."""
+"""Tests for Resource and Store primitives."""
 
 import pytest
 
-from repro.desim import (
-    Container,
-    Environment,
-    Interrupt,
-    Preempted,
-    PreemptiveResource,
-    PriorityResource,
-    PriorityStore,
-    Resource,
-    Store,
-)
+from repro.desim import Environment, Resource, Store
 
 
 # ---------------------------------------------------------------- Resource
@@ -79,134 +69,6 @@ def test_resource_cancel_removes_from_queue():
     assert len(res.queue) == 0
 
 
-def test_priority_resource_orders_waiters():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder(env):
-        with res.request(priority=0) as req:
-            yield req
-            yield env.timeout(10)
-
-    def waiter(env, prio, tag):
-        yield env.timeout(1)  # ensure holder got it first
-        with res.request(priority=prio) as req:
-            yield req
-            order.append(tag)
-            yield env.timeout(1)
-
-    env.process(holder(env))
-    env.process(waiter(env, 5, "low"))
-    env.process(waiter(env, 1, "high"))
-    env.run()
-    assert order == ["high", "low"]
-
-
-def test_preemptive_resource_evicts_lower_priority():
-    env = Environment()
-    res = PreemptiveResource(env, capacity=1)
-    log = []
-
-    def victim(env):
-        with res.request(priority=10) as req:
-            yield req
-            try:
-                yield env.timeout(100)
-                log.append("victim-finished")
-            except Interrupt as i:
-                assert isinstance(i.cause, Preempted)
-                log.append(("victim-preempted", env.now))
-
-    def bully(env):
-        yield env.timeout(5)
-        with res.request(priority=0, preempt=True) as req:
-            yield req
-            log.append(("bully-running", env.now))
-            yield env.timeout(1)
-
-    env.process(victim(env))
-    env.process(bully(env))
-    env.run()
-    assert ("victim-preempted", 5.0) in log
-    assert ("bully-running", 5.0) in log
-    assert "victim-finished" not in log
-
-
-def test_preemptive_resource_no_preempt_flag_waits():
-    env = Environment()
-    res = PreemptiveResource(env, capacity=1)
-    log = []
-
-    def victim(env):
-        with res.request(priority=10) as req:
-            yield req
-            yield env.timeout(20)
-            log.append("victim-finished")
-
-    def polite(env):
-        yield env.timeout(5)
-        with res.request(priority=0, preempt=False) as req:
-            yield req
-            log.append(("polite-running", env.now))
-
-    env.process(victim(env))
-    env.process(polite(env))
-    env.run()
-    assert log == ["victim-finished", ("polite-running", 20.0)]
-
-
-# ---------------------------------------------------------------- Container
-def test_container_put_get():
-    env = Environment()
-    tank = Container(env, capacity=100, init=10)
-    levels = []
-
-    def producer(env):
-        yield env.timeout(1)
-        yield tank.put(50)
-        levels.append(("after-put", tank.level))
-
-    def consumer(env):
-        yield tank.get(40)  # must wait for producer
-        levels.append(("after-get", tank.level, env.now))
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert ("after-get", 20.0, 1.0) in levels
-
-
-def test_container_blocks_put_over_capacity():
-    env = Environment()
-    tank = Container(env, capacity=10, init=10)
-    done = []
-
-    def producer(env):
-        yield tank.put(5)
-        done.append(env.now)
-
-    def consumer(env):
-        yield env.timeout(3)
-        yield tank.get(5)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert done == [3.0]
-
-
-def test_container_rejects_bad_amounts():
-    env = Environment()
-    tank = Container(env, capacity=10)
-    with pytest.raises(ValueError):
-        tank.put(0)
-    with pytest.raises(ValueError):
-        tank.get(-1)
-    with pytest.raises(ValueError):
-        Container(env, capacity=5, init=9)
-
-
 # ---------------------------------------------------------------- Store
 def test_store_fifo():
     env = Environment()
@@ -268,24 +130,3 @@ def test_store_get_blocks_until_item():
     env.process(producer(env))
     env.run()
     assert got == [(123, 4.0)]
-
-
-def test_priority_store_yields_smallest():
-    env = Environment()
-    store = PriorityStore(env)
-    got = []
-
-    def producer(env):
-        for v in [5, 1, 3]:
-            yield store.put(v)
-
-    def consumer(env):
-        yield env.timeout(1)
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert got == [1, 3, 5]

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.core import MergeMode
 from repro.desim import Environment
 from repro.hadoop import HDFS, MapReduceEngine, MapReduceJob, TaskCost
+from repro.net import Link, TrafficClass
+from repro.scenarios import simulation_scenario
 
 MB = 1_000_000.0
 
@@ -251,3 +254,28 @@ def test_task_cost_validation():
         TaskCost(cpu_seconds=-1)
     with pytest.raises(ValueError):
         MapReduceEngine(Environment(), make_hdfs(Environment()), slots_per_node=0)
+
+
+# ---------------------------------------------------------------- traffic
+def test_hadoop_merge_records_hdfs_bytes_as_merge_flows():
+    """HDFS traffic is fabric traffic: every DataNode disk and NIC is a
+    :class:`repro.net.Link`, and a hadoop-mode run records the bytes
+    they move as ``net.flow`` records of class ``merge``."""
+    result = simulation_scenario(
+        n_machines=4,
+        cores=4,
+        n_events=30_000,
+        events_per_tasklet=250,
+        tasklets_per_task=6,
+        merge_mode=MergeMode.HADOOP,
+    )
+    run = result.run
+    assert run.workflows["mc"].merge.merged_files
+    links = [l for dn in run.services.hdfs.datanodes for l in (dn.disk, dn.nic)]
+    assert all(isinstance(l, Link) for l in links)
+    moved = sum(l.bytes_moved for l in links)
+    assert moved > 0
+    assert all(set(l.bytes_by_class) <= {TrafficClass.MERGE} for l in links)
+    merge_flows = [f for f in run.metrics.flows if f.cls == TrafficClass.MERGE]
+    assert all(f.ok and f.hops == 1 for f in merge_flows)
+    assert sum(f.nbytes for f in merge_flows) == pytest.approx(moved, rel=1e-9)

@@ -405,46 +405,3 @@ def test_export_empty_run(tmp_path):
 
     with open(paths["timeline"]) as fh:
         assert list(csv.DictReader(fh)) == []
-
-
-# ---------------------------------------------------------------- samplers
-def test_link_sampler_records_series():
-    from repro.desim import Environment, FairShareLink
-    from repro.monitor import sample_links
-
-    env = Environment()
-    link = FairShareLink(env, capacity=100.0)
-    sampler = sample_links(env, {"wan": link}, interval=10.0)
-
-    def traffic(env):
-        yield link.transfer(500.0)  # 5 s at 100 B/s
-        yield env.timeout(30.0)
-        yield link.transfer(1000.0)  # 10 s
-
-    env.process(traffic(env))
-    env.run(until=60.0)
-    sampler.stop()
-    flows = sampler.series["wan.flows"]
-    thr = sampler.series["wan.throughput"]
-    assert len(flows) >= 5
-    # Throughput over the first 10 s window: 500 B moved → 50 B/s.
-    assert thr.values[0] == pytest.approx(50.0)
-    # Total bytes monotone non-decreasing.
-    b = sampler.series["wan.bytes"].values
-    assert all(x <= y for x, y in zip(b, b[1:]))
-
-
-def test_link_sampler_validation():
-    from repro.desim import Environment
-    from repro.monitor import LinkSampler
-
-    env = Environment()
-    with pytest.raises(ValueError):
-        LinkSampler(env, interval=0)
-    sampler = LinkSampler(env, interval=5.0)
-    sampler.add_probe("x", lambda: 1.0)
-    with pytest.raises(ValueError):
-        sampler.add_probe("x", lambda: 2.0)
-    sampler.start()
-    with pytest.raises(RuntimeError):
-        sampler.start()

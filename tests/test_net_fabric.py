@@ -3,19 +3,22 @@
 import pytest
 
 from repro.core import Services
-from repro.desim import Environment, FairShareLink, Topics, TransferCancelled
+from repro.desim import Environment, Topics
 from repro.monitor import BusCollector, RunMetrics
 from repro.net import (
     Fabric,
     LinkDown,
     TopologySpec,
     TrafficClass,
+    TransferCancelled,
     rack_for,
-    transfer_on,
     waterfill,
 )
+from repro.storage import ChirpServer, XrootdFederation
 from repro.storage.wan import OutageWindow, WideAreaNetwork
 from repro.wq.transfer import ship
+
+from .fair_share_reference import FairShareLink
 
 
 def drive(env, gen):
@@ -64,7 +67,8 @@ def test_waterfill_asymmetric_bottlenecks():
 
 # ---------------------------------------------------------------- single link
 def test_single_link_matches_fair_share_link():
-    """A one-link fabric reproduces FairShareLink dynamics exactly."""
+    """A one-link fabric gives the completion times of the FairShareLink
+    it replaced (``tests/fair_share_reference.py``)."""
     env = Environment()
     reference = FairShareLink(env, 100.0)
     fabric = Fabric(env)
@@ -278,39 +282,17 @@ def test_capacity_restored_after_outage():
 
 # ------------------------------------------------- satellite regression fixes
 def test_utilization_window_resets():
-    """Satellite: utilization is windowed and resettable (both links)."""
+    """Satellite: utilization is windowed and resettable."""
     env = Environment()
-    fair = FairShareLink(env, 100.0)
     fabric = Fabric(env)
     link = fabric.attach("l", 100.0)
-    fair.transfer(100.0)
     link.transfer(100.0)
     env.run(until=2.0)
-    assert fair.utilization() == pytest.approx(0.5)
     assert link.utilization() == pytest.approx(0.5)
-    fair.reset_utilization_window()
     link.reset_utilization_window()
     env.run(until=4.0)
     # Nothing moved in the new window.
-    assert fair.utilization() == 0.0
     assert link.utilization() == 0.0
-
-
-def test_estimate_duration_honours_existing_caps():
-    """Satellite: estimates respect live flows' max_rate caps."""
-    env = Environment()
-    fair = FairShareLink(env, 100.0)
-    fair.transfer(1e9, max_rate=10.0)
-    fabric = Fabric(env)
-    link = fabric.attach("l", 100.0)
-    link.transfer(1e9, max_rate=10.0)
-    env.run(until=1.0)
-    # The capped flow leaves 90 B/s for a newcomer, not a naive 50.
-    assert fair.estimate_duration(90.0) == pytest.approx(1.0)
-    assert link.estimate_duration(90.0) == pytest.approx(1.0)
-    # And the newcomer's own cap binds when it is tighter.
-    assert fair.estimate_duration(90.0, max_rate=9.0) == pytest.approx(10.0)
-    assert link.estimate_duration(90.0, max_rate=9.0) == pytest.approx(10.0)
 
 
 def test_zero_byte_wan_transfer_publishes_nothing():
@@ -344,25 +326,53 @@ def test_ship_uses_one_end_to_end_flow_on_shared_fabric():
 
 
 def test_ship_legacy_pair_of_flat_links():
+    """NICs on two fabrics (a worker on a private fabric, the master on
+    the shared one) carry one flow each, pipelined: the slower NIC sets
+    the pace and each counts the bytes under the hop's class."""
     env = Environment()
-    a = FairShareLink(env, 10.0)
-    b = FairShareLink(env, 40.0)
+    a = Fabric(env).attach("a.nic", 10.0, node="a")
+    b = Fabric(env).attach("b.nic", 40.0, node="b")
     done = drive(env, ship(a, b, 100.0))
     env.run()
     assert "error" not in done
     assert env.now == pytest.approx(10.0)
+    for link in (a, b):
+        assert link.bytes_by_class == {TrafficClass.STAGING: pytest.approx(100.0)}
+        assert link.fabric.flows_completed == 1
 
 
-def test_transfer_on_dispatches_by_link_type():
+def test_chirp_client_nic_on_another_fabric_gets_per_link_flows():
+    """A client NIC off the server's fabric: the server NIC and the
+    client NIC each carry the upload; no end-to-end flow reaches the
+    spindles."""
     env = Environment()
-    fair = FairShareLink(env, 100.0)
-    fabric = Fabric(env)
-    link = fabric.attach("l", 100.0)
-    transfer_on(fair, 50.0, cls=TrafficClass.STAGING)
-    transfer_on(link, 50.0, cls=TrafficClass.STAGING)
+    chirp = ChirpServer(env, bandwidth=40.0, accept_latency=0.0)
+    nic = Fabric(env).attach("w.nic", 10.0, node="w")
+    done = drive(env, chirp.put(100.0, client_link=nic))
     env.run()
-    assert fair.bytes_moved == pytest.approx(50.0)
-    assert link.bytes_by_class[TrafficClass.STAGING] == pytest.approx(50.0)
+    assert done["value"] == pytest.approx(10.0)  # the client NIC sets the pace
+    for link in (chirp.link, nic):
+        assert link.bytes_by_class == {TrafficClass.OUTPUT: pytest.approx(100.0)}
+    assert chirp.spindles.bytes_moved == 0.0
+
+
+def test_xrootd_client_nic_on_another_fabric_gets_per_link_flows():
+    """A client NIC off the WAN's fabric: the WAN uplink and the client
+    NIC each carry the read, pipelined."""
+    env = Environment()
+    wan = WideAreaNetwork(env, bandwidth=40.0)
+    fed = XrootdFederation(env, wan, redirect_latency=0.0)
+    nic = Fabric(env).attach("w.nic", 10.0, node="w")
+
+    def reader(env):
+        stream = yield from fed.open("/store/f.root")
+        return (yield from stream.read(100.0, client_link=nic))
+
+    done = drive(env, reader(env))
+    env.run()
+    assert done["value"] == pytest.approx(10.0)
+    for link in (wan.link, nic):
+        assert link.bytes_by_class == {TrafficClass.XROOTD: pytest.approx(100.0)}
 
 
 # ---------------------------------------------------------------- services

@@ -183,9 +183,9 @@ def test_sizer_stays_within_bounds(stream, initial, window):
 @settings(max_examples=60, deadline=None)
 def test_max_min_no_flow_below_equal_share(demands, capacity):
     """Max-min fairness: nobody gets less than min(cap, equal share)."""
-    from repro.desim.bandwidth import allocate_max_min
+    from repro.net import waterfill
 
-    rates = allocate_max_min(demands, capacity)
+    rates = waterfill({0: capacity}, [(0,)] * len(demands), demands)
     equal = capacity / len(demands)
     for rate, cap in zip(rates, demands):
         floor = equal if cap is None else min(cap, equal)
