@@ -1,27 +1,13 @@
-"""Benchmark-side shim over :mod:`repro.scenarios`.
+"""Output helpers for the figure benchmarks.
 
-The scenario builders used to live here; they are now part of the
-library (``src/repro/scenarios.py``) so the CLI and the sweep engine
-share them.  This module keeps the historical import surface for the
-figure benchmarks and adds the ``benchmarks/out/`` output helpers.
+The benches build their runs with :mod:`repro.scenarios`, the builders
+the CLI and the sweep engine use too; this module only writes what they
+regenerate under ``benchmarks/out/``.
 """
 
 from __future__ import annotations
 
 import os
-
-from repro.scenarios import (  # noqa: F401  (re-exported bench surface)
-    GB,
-    GBIT,
-    HOUR,
-    KB,
-    MB,
-    MINUTE,
-    ScenarioResult,
-    cache_node_scenario,
-    data_processing_scenario,
-    simulation_scenario,
-)
 
 #: Directory where benches drop their regenerated tables/series.
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")

@@ -23,9 +23,10 @@ import numpy as np
 
 from repro.core import MergeMode
 from repro.cvmfs import CacheMode
+from repro.scenarios import GB, GBIT, HOUR
 from repro.sweep import Axis, SweepSpec, Variant, run_sweep
 
-from _scenarios import GB, GBIT, HOUR, save_json, save_output
+from _scenarios import save_json, save_output
 
 
 # ---------------------------------------------------------------- buffer depth

@@ -15,9 +15,10 @@ Scaled to 200 cores with the WAN outage injected mid-run.
 import numpy as np
 
 from repro.distributions import WeibullEviction
+from repro.scenarios import HOUR, data_processing_scenario
 from repro.storage.wan import OutageWindow
 
-from _scenarios import HOUR, data_processing_scenario, save_output
+from _scenarios import save_output
 
 OUTAGE = OutageWindow(4.0 * HOUR, 5.0 * HOUR)
 BIN = 0.5 * HOUR

@@ -17,8 +17,9 @@ Scaled to 800 cores on one squid with a tight proxy timeout.
 
 import numpy as np
 
+from repro.scenarios import HOUR, MINUTE, simulation_scenario
 
-from _scenarios import HOUR, MINUTE, save_output, simulation_scenario
+from _scenarios import save_output
 
 
 def run_experiment():

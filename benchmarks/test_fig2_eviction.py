@@ -21,8 +21,9 @@ from repro.batch import (
 )
 from repro.desim import Environment, Interrupt
 from repro.distributions import EmpiricalEviction, WeibullEviction
+from repro.scenarios import HOUR
 
-from _scenarios import HOUR, save_output
+from _scenarios import save_output
 
 
 def record_live_trace(n_workers=300, until=200 * HOUR):

@@ -19,9 +19,10 @@ model scenario: eviction model x task length, 27 runs.
 
 import numpy as np
 
+from repro.scenarios import HOUR
 from repro.sweep import Axis, SweepSpec, Variant, run_sweep
 
-from _scenarios import HOUR, save_json, save_output
+from _scenarios import save_json, save_output
 
 TASK_HOURS = (0.25, 0.5, 1, 2, 3, 4, 6, 8, 10)
 

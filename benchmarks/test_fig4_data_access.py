@@ -12,9 +12,10 @@ difference is the access pattern — a one-axis
 :class:`~repro.sweep.SweepSpec` over the ``data_processing`` scenario.
 """
 
+from repro.scenarios import GBIT, HOUR
 from repro.sweep import Axis, SweepSpec, Variant, run_sweep
 
-from _scenarios import GBIT, HOUR, save_json, save_output
+from _scenarios import save_json, save_output
 
 SPEC = SweepSpec(
     name="fig4-data-access",

@@ -14,8 +14,9 @@ import numpy as np
 from repro.batch.machines import Machine
 from repro.cvmfs import CacheMode, CVMFSRepository, ParrotCache, SquidProxy
 from repro.desim import Environment
+from repro.scenarios import GB, GBIT
 
-from _scenarios import GB, GBIT, save_output
+from _scenarios import save_output
 
 N_TASKS = [50, 200, 500, 1000, 2000, 4000]
 

@@ -21,9 +21,10 @@ one-axis :class:`~repro.sweep.SweepSpec` over its five architectures.
 """
 
 from repro.cvmfs import CVMFSRepository
+from repro.scenarios import GB
 from repro.sweep import Axis, SweepSpec, Variant, run_sweep
 
-from _scenarios import GB, save_json, save_output
+from _scenarios import save_json, save_output
 
 N_INSTANCES = 8  # concurrent task instances on one node
 

@@ -20,9 +20,10 @@ its analysis/merge completion timelines for the histogram.
 import numpy as np
 
 from repro.core import MergeMode
+from repro.scenarios import GBIT, HOUR, MINUTE
 from repro.sweep import Axis, SweepSpec, Variant, run_sweep
 
-from _scenarios import GBIT, HOUR, MINUTE, save_json, save_output
+from _scenarios import save_json, save_output
 
 MODES = (MergeMode.SEQUENTIAL, MergeMode.HADOOP, MergeMode.INTERLEAVED)
 

@@ -20,9 +20,10 @@ rough magnitudes are the reproduction target.
 """
 
 from repro.distributions import WeibullEviction
+from repro.scenarios import HOUR, data_processing_scenario
 from repro.storage.wan import OutageWindow
 
-from _scenarios import HOUR, data_processing_scenario, save_output
+from _scenarios import save_output
 
 
 def run_experiment():

@@ -12,7 +12,9 @@ and ranked.
 
 import numpy as np
 
-from _scenarios import HOUR, data_processing_scenario, save_output
+from repro.scenarios import HOUR, data_processing_scenario
+
+from _scenarios import save_output
 
 # Background CMS sites and their mean streaming rates (bytes/second).
 # A typical T2 pulls a few hundred MB/s of AAA traffic; Lobster's ~9k

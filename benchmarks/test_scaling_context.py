@@ -16,14 +16,9 @@ This bench sweeps the pool size and verifies the paper's scaling story:
 """
 
 from repro.distributions import NoEviction
+from repro.scenarios import GBIT, HOUR, data_processing_scenario, simulation_scenario
 
-from _scenarios import (
-    GBIT,
-    HOUR,
-    data_processing_scenario,
-    save_output,
-    simulation_scenario,
-)
+from _scenarios import save_output
 
 POOL_SIZES = (5, 10, 20, 40)  # machines of 8 cores
 

@@ -1,58 +1,67 @@
 #!/usr/bin/env python
-"""Streaming rollups and the ops dashboard (paper §5, operator view).
+"""The ops dashboard, rendered live and from a recording (paper §5).
 
-Two demonstrations in one script:
+A small chaos run (bit-rot, truncated transfers, duplicate deliveries)
+executes with a :class:`~repro.monitor.RunMetrics` fold (through a
+:class:`~repro.monitor.BusCollector`), a
+:class:`~repro.monitor.SpanTracer` and a JSONL recording attached to its
+bus.  The fold renders the dashboard into
+``benchmarks/out/dashboard.html``: per-class bandwidth strips,
+task-state timelines, chaos/integrity panels, and click-through from
+each §5 ``diagnose()`` finding to its evidence spans.
 
-1. **Dashboard render with exact parity.**  A small chaos run (bit-rot,
-   truncated transfers, duplicate deliveries) executes with a
-   :class:`~repro.monitor.Rollup` (through a
-   :class:`~repro.monitor.BusCollector`) and a
-   :class:`~repro.monitor.SpanTracer` attached to the same bus the
-   run's exact ``RunMetrics`` fold listens on.  The
-   streaming rollup is verified bit-for-bit against the exact
-   ``RunMetrics`` reduction (``verify_parity`` must return no
-   mismatches), then rendered into a single static HTML dashboard at
-   ``benchmarks/out/dashboard.html`` — per-class bandwidth strips,
-   task-state timelines, chaos/integrity panels, and click-through
-   from each §5 ``diagnose()`` finding to its evidence spans.
-
-2. **The O(windows) memory gate.**  The same quickstart scenario runs
-   at 1× and ~10× event density (10× the events across 10× the
-   workers, so the makespan — and therefore the number of occupied
-   aggregation windows — stays put while the event rate climbs an
-   order of magnitude).  The rollup's retained-cell count must stay
-   essentially flat while the events folded grow ≥ 5×: memory is
-   bounded by *windows*, never by *events*.  CI greps the
-   ``DENSITY GATE OK`` line.
+The recording is then replayed into a fresh fold and span builder and
+rendered again.  Once the title and the four bus tiles are masked (a
+replay has no live bus), the two pages must be the same string: one fold
+serves both paths.  CI greps the ``DASH REPLAY OK`` line.
 
     python examples/dashboard_run.py
 """
 
 import os
+import re
+import tempfile
 
 from repro.desim import Environment
 from repro.monitor import (
     BusCollector,
-    Rollup,
+    JsonlSink,
+    RunMetrics,
+    SpanStreamBuilder,
     SpanTracer,
-    verify_parity,
+    load_events,
+    render_dashboard,
+    replay,
     write_dashboard,
 )
-from repro.scenarios import (
-    execute_prepared,
-    prepare_chaos,
-    prepare_quickstart,
-)
+from repro.scenarios import execute_prepared, prepare_chaos
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "out")
+BUS_TILES = ("bus published", "bus delivered", "subscriptions", "ports")
 
 
-def render_chaos_dashboard() -> str:
-    """Run a faulty data run, verify parity, render the dashboard."""
+def mask_run_identity(html: str) -> str:
+    """Blank the title (``<title>`` and ``<h1>``) and the bus tiles."""
+    html = re.sub(r"<title>.*?</title>", "<title></title>", html)
+    html = re.sub(r"<h1>.*?</h1>", "<h1></h1>", html)
+    for key in BUS_TILES:
+        html = re.sub(
+            r'<div class="tile"><div class="v">[^<]*</div>'
+            rf'<div class="k">{key}</div></div>',
+            "",
+            html,
+        )
+    return html
+
+
+def render_live(events_path: str) -> str:
+    """Run a faulty data run, record it and render its dashboard."""
     env = Environment()
+    sink = JsonlSink(events_path)
+    env.bus.attach(sink)
     tracer = SpanTracer(env)
-    rollup = Rollup()
-    BusCollector(env.bus, rollup)
+    metrics = RunMetrics()
+    BusCollector(env.bus, metrics)
     prepared = prepare_chaos(
         files=30,
         machines=8,
@@ -65,23 +74,13 @@ def render_chaos_dashboard() -> str:
     )
     execute_prepared(prepared, settle=300.0)
     tracer.finalize()
-
-    metrics = prepared.run.metrics
-    problems = verify_parity(rollup, metrics)
-    for p in problems:
-        print(f"  parity mismatch: {p}")
-    assert not problems, f"{len(problems)} rollup/exact mismatches"
-    print(
-        f"DASH PARITY OK events={rollup.events_seen} "
-        f"cells={rollup.retained_cells()}"
-    )
+    sink.close()
 
     os.makedirs(OUT_DIR, exist_ok=True)
     path = os.path.join(OUT_DIR, "dashboard.html")
     write_dashboard(
         path,
-        rollup,
-        metrics=metrics,
+        metrics,
         spans=list(tracer.spans),
         bus_stats=env.bus.stats(),
         title="chaos run (examples/dashboard_run.py)",
@@ -91,48 +90,29 @@ def render_chaos_dashboard() -> str:
     html = open(path, encoding="utf-8").read()
     for marker in ("Task state timeline", "Network bandwidth", "Telemetry"):
         assert marker in html, f"dashboard missing panel {marker!r}"
-    print(f"DASHBOARD WRITTEN {path} ({size} bytes)")
-    return path
-
-
-def measure_density(events: int, workers: int) -> tuple:
-    """Run quickstart at a given density; return (events_seen, cells)."""
-    env = Environment()
-    rollup = Rollup()
-    BusCollector(env.bus, rollup)
-    prepared = prepare_quickstart(
-        events=events, workers=workers, seed=3, env=env
-    )
-    execute_prepared(prepared, settle=300.0)
-    return rollup.events_seen, rollup.retained_cells()
-
-
-def density_gate() -> None:
-    """Retained cells must track windows, not events."""
-    base_events, base_cells = measure_density(events=20_000, workers=4)
-    dense_events, dense_cells = measure_density(events=200_000, workers=40)
-
-    growth = dense_events / max(base_events, 1)
-    cell_ratio = dense_cells / max(base_cells, 1)
     print(
-        f"density sweep: {base_events} -> {dense_events} events folded "
-        f"({growth:.1f}x), {base_cells} -> {dense_cells} retained cells "
-        f"({cell_ratio:.2f}x)"
+        f"DASHBOARD WRITTEN {path} ({size} bytes, {metrics.n_tasks} tasks, "
+        f"{sink.count} events recorded)"
     )
-    assert growth >= 5.0, f"sweep did not raise density (only {growth:.1f}x)"
-    assert cell_ratio <= 2.0, (
-        f"retained cells grew {cell_ratio:.2f}x under a {growth:.1f}x "
-        f"event-density increase — rollup memory is not O(windows)"
-    )
-    print(
-        f"DENSITY GATE OK events_x={growth:.1f} cells_x={cell_ratio:.2f} "
-        f"base_cells={base_cells} dense_cells={dense_cells}"
+    return html
+
+
+def render_replay(events_path: str) -> str:
+    """Rebuild the fold and the spans from the recording and render."""
+    metrics, builder = RunMetrics(), SpanStreamBuilder()
+    replay(load_events(events_path), metrics, builder)
+    return render_dashboard(
+        metrics, spans=builder.result(), title=f"replay of {events_path}"
     )
 
 
 def main() -> None:
-    render_chaos_dashboard()
-    density_gate()
+    with tempfile.TemporaryDirectory() as tmp:
+        events_path = os.path.join(tmp, "events.jsonl")
+        live = mask_run_identity(render_live(events_path))
+        replayed = mask_run_identity(render_replay(events_path))
+    assert live == replayed, "the replayed dashboard differs from the live one"
+    print(f"DASH REPLAY OK bytes={len(live)}")
 
 
 if __name__ == "__main__":

@@ -32,8 +32,6 @@ import os
 from repro.desim import Environment
 from repro.desim.bus import MemorySink
 from repro.monitor import (
-    BusCollector,
-    Rollup,
     RunWatcher,
     SpanTracer,
     WatchEngine,
@@ -72,8 +70,6 @@ def watch_chaos() -> list:
     sink = MemorySink()
     env.bus.attach(sink)
     tracer = SpanTracer(env)
-    rollup = Rollup()
-    BusCollector(env.bus, rollup)
     watcher = RunWatcher(env.bus)
     prepared = prepare_chaos(files=60, machines=12, cores=4, seed=5, env=env)
     execute_prepared(prepared, settle=300.0)
@@ -114,8 +110,7 @@ def watch_chaos() -> list:
     dash_path = os.path.join(OUT_DIR, "watch.html")
     write_dashboard(
         dash_path,
-        rollup,
-        metrics=m,
+        m,
         spans=list(tracer.spans),
         bus_stats=env.bus.stats(),
         title="chaos run (examples/watch_run.py)",

@@ -25,8 +25,8 @@ substrate:
   (JSON or Python file) into its run matrix, execute it across worker
   processes, and write a machine-readable ``BENCH_sweep.json``,
 * ``dash``       — render any run (live scenario or JSONL recording)
-  into a single static HTML ops dashboard built from streaming,
-  bounded-memory rollups (``repro.monitor.rollup``),
+  into a single static HTML ops dashboard rendered from one
+  ``RunMetrics`` fold (``repro.monitor.dash``),
 * ``watch``      — run (or ``--replay``) with the live run-health
   engine attached: streaming §5 detectors raise typed
   ``alert.raise``/``alert.clear`` events with evidence span ids, the
@@ -221,12 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scenario parameter override (repeatable)")
     d.add_argument("--seed", type=int, default=0)
     d.add_argument("--bin-width", type=float, default=1800.0, metavar="SECONDS",
-                   help="rollup window width (default: 1800 s)")
+                   help="timeline bin width (default: 1800 s)")
     d.add_argument("--out", default="dash.html", metavar="PATH",
                    help="where to write the dashboard HTML")
-    d.add_argument("--check-parity", action="store_true",
-                   help="verify the streaming rollup bit-for-bit against "
-                        "the exact RunMetrics reduction and fail on drift")
 
     w = sub.add_parser(
         "watch",
@@ -293,17 +290,20 @@ def _replay_file(path, *folds):
 
 
 def _attach_dash(env, dash_out):
-    """Fold *env*'s bus into a rollup and a span tracer for ``--dash-out``.
+    """Fold *env*'s bus into a RunMetrics and a span tracer for ``--dash-out``.
 
-    Returns ``(dash_out, rollup, tracer)``, or ``None`` without a path.
+    The dashboard keeps its own fold rather than the run's: it is
+    attached to the environment's bus, so a warm restart's page covers
+    both the crashed and the resumed run.  Returns ``(dash_out, metrics,
+    tracer)``, or ``None`` without a path.
     """
     if dash_out is None:
         return None
-    from repro.monitor import BusCollector, Rollup, SpanTracer
+    from repro.monitor import BusCollector, RunMetrics, SpanTracer
 
-    rollup = Rollup()
-    BusCollector(env.bus, rollup)
-    return dash_out, rollup, SpanTracer(env)
+    metrics = RunMetrics()
+    BusCollector(env.bus, metrics)
+    return dash_out, metrics, SpanTracer(env)
 
 
 #: Simulated seconds a finished run keeps going before its report.
@@ -333,13 +333,12 @@ def _report(prepared, out, sink, dash) -> int:
     if dash is not None:
         from repro.monitor import write_dashboard
 
-        dash_out, rollup, tracer = dash
+        dash_out, metrics, tracer = dash
         tracer.finalize()
         labels = [wf.label for wf in prepared.run.config.workflows]
         write_dashboard(
             dash_out,
-            rollup,
-            metrics=prepared.run.metrics,
+            metrics,
             spans=list(tracer.spans),
             bus_stats=prepared.env.bus.stats(),
             title=", ".join(labels) or "repro run",
@@ -797,25 +796,46 @@ def _parse_params(pairs: List[str]) -> dict:
     return params
 
 
+def _des_scenario(args):
+    """Look up ``--scenario`` as a sweep-registry DES run scenario.
+
+    Returns ``(scenario, params)``: the ``--param`` overrides, with the
+    seed defaulting to ``--seed``.
+    """
+    from repro.sweep import get_scenario, list_scenarios
+
+    try:
+        scenario = get_scenario(args.scenario)
+    except KeyError:
+        names = ", ".join(s.name for s in list_scenarios())
+        raise SystemExit(
+            f"unknown scenario {args.scenario!r} (available: {names})"
+        ) from None
+    if scenario.kind != "des":
+        raise SystemExit(f"scenario {args.scenario!r} is not a DES run scenario")
+    params = _parse_params(args.param)
+    params.setdefault("seed", args.seed)
+    return scenario, params
+
+
 def cmd_dash(args, out) -> int:
     """Render a run as a static HTML ops dashboard.
 
     Live mode runs a DES scenario from the sweep registry with a
-    :class:`~repro.monitor.Rollup` (and a
+    :class:`~repro.monitor.RunMetrics` fold (and a
     :class:`~repro.monitor.SpanTracer`, so §5 diagnoses carry
     click-through evidence spans) attached to the bus; ``--replay``
-    instead rebuilds the rollup from a JSONL event recording.  Both
-    paths optionally cross-check the streaming rollup against the
-    exact :class:`~repro.monitor.RunMetrics` reduction.
+    instead rebuilds the fold and the spans from a JSONL event
+    recording.  Both paths render the same page for the same run.
     """
-    from repro.monitor import Rollup, verify_parity, write_dashboard
+    from repro.monitor import RunMetrics, write_dashboard
 
-    rollup = Rollup(args.bin_width)
+    metrics = RunMetrics()
     if args.replay is not None:
-        from repro.monitor import RunMetrics, SpanStreamBuilder
+        from repro.monitor import SpanStreamBuilder
 
-        metrics, builder = RunMetrics(), SpanStreamBuilder()
-        events = _replay_file(args.replay, rollup, metrics, builder)
+        builder = SpanStreamBuilder()
+        events = _replay_file(args.replay, metrics, builder)
         spans = builder.result()
         bus_stats = None
         title = f"replay of {args.replay}"
@@ -823,51 +843,25 @@ def cmd_dash(args, out) -> int:
     else:
         from repro.desim import Environment
         from repro.monitor import BusCollector, SpanTracer
-        from repro.sweep import get_scenario, list_scenarios
 
-        try:
-            scenario = get_scenario(args.scenario)
-        except KeyError:
-            names = ", ".join(s.name for s in list_scenarios())
-            raise SystemExit(
-                f"unknown scenario {args.scenario!r} (available: {names})"
-            ) from None
-        if scenario.kind != "des":
-            raise SystemExit(
-                f"scenario {args.scenario!r} is not a DES run scenario"
-            )
-        params = _parse_params(args.param)
-        params.setdefault("seed", args.seed)
+        scenario, params = _des_scenario(args)
         env = Environment()
         tracer = SpanTracer(env)
-        BusCollector(env.bus, rollup)
+        BusCollector(env.bus, metrics)
         try:
-            result = scenario.build(env, **params)
+            scenario.build(env, **params)
         except TypeError as exc:
             raise SystemExit(f"scenario {args.scenario!r}: {exc}") from None
         tracer.finalize()
-        metrics = result.run.metrics
         spans = list(tracer.spans)
         bus_stats = env.bus.stats()
         title = f"{args.scenario} (seed {params['seed']})"
-        out.write(
-            f"ran scenario {args.scenario!r}: {rollup.events_seen} events "
-            f"folded into {int(rollup.bin_width)}s windows\n"
-        )
-
-    if args.check_parity:
-        problems = verify_parity(rollup, metrics)
-        if problems:
-            out.write("PARITY FAILED:\n")
-            for p in problems:
-                out.write(f"  - {p}\n")
-            return 1
-        out.write("parity OK: rollup matches the exact reduction bit-for-bit\n")
+        out.write(f"ran scenario {args.scenario!r}: {metrics.n_tasks} task records\n")
 
     write_dashboard(
         args.out,
-        rollup,
-        metrics=metrics,
+        metrics,
+        bin_width=args.bin_width,
         spans=spans,
         bus_stats=bus_stats,
         title=title,
@@ -880,23 +874,24 @@ def cmd_watch(args, out) -> int:
     """Watch a run live (or replay one) through the health engine.
 
     Live mode attaches a :class:`~repro.monitor.RunWatcher` (plus a
-    rollup and a span tracer) to a DES scenario from the sweep
-    registry; every detector transition is printed as a greppable
-    ``ALERT`` line and published on the bus, and ``--refresh-every``
-    re-renders the dashboard atomically at window closes.  ``--replay``
+    ``RunMetrics`` fold for the dashboard and a span tracer) to a DES
+    scenario from the sweep registry; every detector transition is
+    printed as a greppable ``ALERT`` line and published on the bus, and
+    ``--refresh-every`` re-renders the dashboard atomically at window
+    closes.  ``--replay``
     runs the same engine over a JSONL recording — the alert stream is
     byte-identical to what the live run produced.
     """
     import json as _json
 
-    from repro.monitor import Rollup, write_dashboard
+    from repro.monitor import RunMetrics, write_dashboard
 
-    rollup = Rollup(args.window)
+    metrics = RunMetrics()
     if args.replay is not None:
-        from repro.monitor import RunMetrics, WatchEngine
+        from repro.monitor import WatchEngine
 
-        engine, metrics = WatchEngine(window=args.window), RunMetrics()
-        events = _replay_file(args.replay, engine, rollup, metrics)
+        engine = WatchEngine(window=args.window)
+        events = _replay_file(args.replay, engine, metrics)
         bus_stats = None
         bus_timeline = None
         now = max((float(e.get("t", 0.0)) for e in events), default=None)
@@ -905,25 +900,12 @@ def cmd_watch(args, out) -> int:
     else:
         from repro.desim import Environment
         from repro.monitor import BusCollector, RunWatcher, SpanTracer
-        from repro.sweep import get_scenario, list_scenarios
 
-        try:
-            scenario = get_scenario(args.scenario)
-        except KeyError:
-            names = ", ".join(s.name for s in list_scenarios())
-            raise SystemExit(
-                f"unknown scenario {args.scenario!r} (available: {names})"
-            ) from None
-        if scenario.kind != "des":
-            raise SystemExit(
-                f"scenario {args.scenario!r} is not a DES run scenario"
-            )
-        params = _parse_params(args.param)
-        params.setdefault("seed", args.seed)
+        scenario, params = _des_scenario(args)
         env = Environment()
         sink = _attach_events_sink(env, args)
         tracer = SpanTracer(env)
-        BusCollector(env.bus, rollup)
+        BusCollector(env.bus, metrics)
         watcher = RunWatcher(env.bus, window=args.window)
         engine = watcher.engine
 
@@ -938,7 +920,8 @@ def cmd_watch(args, out) -> int:
                     last[0] = t
                     write_dashboard(
                         args.out,
-                        rollup,
+                        metrics,
+                        bin_width=args.window,
                         bus_stats=env.bus.stats(),
                         title=f"{args.scenario} (live, t={t:.0f}s)",
                         alerts=engine.alerts,
@@ -958,7 +941,6 @@ def cmd_watch(args, out) -> int:
         if sink is not None:
             sink.close()
             out.write(f"recorded {sink.count} events to {sink.path}\n")
-        metrics = None
         bus_stats = env.bus.stats()
         bus_timeline = watcher.bus_timeline
         now = float(env.now)
@@ -988,8 +970,8 @@ def cmd_watch(args, out) -> int:
 
     write_dashboard(
         args.out,
-        rollup,
-        metrics=metrics,
+        metrics,
+        bin_width=args.window,
         bus_stats=bus_stats,
         title=title,
         alerts=engine.alerts,

@@ -18,15 +18,14 @@ from .events import Event, PENDING
 __all__ = ["Resource", "Store"]
 
 
-class _BaseRequest(Event):
-    """Common machinery for resource request / put / get events."""
+class Request(Event):
+    """A claim for one unit of a :class:`Resource`'s capacity."""
 
-    __slots__ = ("resource", "proc")
+    __slots__ = ("resource",)
 
     def __init__(self, resource):
         super().__init__(resource.env)
         self.resource = resource
-        self.proc = resource.env.active_process
 
     def cancel(self) -> None:
         """Withdraw an ungranted request from the waiting queue."""
@@ -35,15 +34,6 @@ class _BaseRequest(Event):
 
     def __enter__(self):
         return self
-
-    def __exit__(self, exc_type, exc_value, traceback):
-        raise NotImplementedError
-
-
-class Request(_BaseRequest):
-    """A claim for one unit of a :class:`Resource`'s capacity."""
-
-    __slots__ = ()
 
     def __exit__(self, exc_type, exc_value, traceback):
         if self._value is PENDING:
@@ -199,11 +189,5 @@ class Store:
                 put.succeed()
                 progress = True
             if self._get_waiters and self.items:
-                got = self._do_get()
-                if got:
-                    progress = True
-
-    def _do_get(self) -> bool:
-        get = self._get_waiters.pop(0)
-        get.succeed(self.items.pop(0))
-        return True
+                self._get_waiters.pop(0).succeed(self.items.pop(0))
+                progress = True

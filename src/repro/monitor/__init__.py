@@ -18,7 +18,6 @@ from .export import (
 from .metrics import EventLog, TimeSeries
 from .records import RunMetrics, RuntimeBreakdown, TaskRecord
 from .report import ascii_bar, ascii_timeline, render_report
-from .rollup import Rollup, SegmentDigest, verify_parity
 from .stats import (
     SegmentStats,
     all_segment_stats,
@@ -86,9 +85,6 @@ __all__ = [
     "write_chrome_trace",
     "write_spans_jsonl",
     "EvidenceSpan",
-    "Rollup",
-    "SegmentDigest",
-    "verify_parity",
     "render_dashboard",
     "write_dashboard",
     "DetectorSpec",

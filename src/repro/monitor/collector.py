@@ -5,7 +5,6 @@ The substrate layers *publish* typed events and the monitor
 *subscribes*.  Every monitor view is a *fold*: an object that reduces
 the event stream into one view —
 :class:`~repro.monitor.records.RunMetrics`,
-:class:`~repro.monitor.rollup.Rollup`,
 :class:`~repro.monitor.watch.WatchEngine`,
 :class:`~repro.monitor.tracing.SpanStreamBuilder`.  A fold names the
 subscription patterns it reduces in a ``TOPICS`` tuple and takes one

@@ -1,4 +1,4 @@
-"""Static HTML ops dashboard rendered from streaming rollups.
+"""Static HTML ops dashboard rendered from a run's ``RunMetrics``.
 
 ``python -m repro dash`` turns any run — live, or replayed from a JSONL
 recording — into one self-contained HTML file: headline tiles, per-class
@@ -9,9 +9,9 @@ its evidence spans.
 
 Everything is hand-rolled inline SVG/CSS — no plotting library, no
 external assets, no JavaScript beyond what a static page needs (none).
-The renderer consumes a :class:`~repro.monitor.rollup.Rollup` (bounded
-memory) plus, optionally, the exact-path extras: a ``RunMetrics`` for
-the diagnose heuristics and a span list for evidence click-through.
+Every panel reads one :class:`~repro.monitor.records.RunMetrics` fold;
+the binned views are computed from its records at render time, with the
+bin width the caller picks.  A span list adds evidence click-through.
 
 Like everything under ``repro.monitor`` this module only speaks the bus
 vocabulary; it never imports scheduler/batch/cvmfs/storage layers.
@@ -22,13 +22,19 @@ from __future__ import annotations
 import html
 import os
 import tempfile
-from typing import Dict, Iterable, List, Optional, Sequence
+from collections import Counter
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .rollup import Rollup
+from ..desim.bus import Topics
+from .records import RunMetrics
+from .troubleshoot import diagnose
 
 __all__ = ["render_dashboard", "write_dashboard"]
+
+#: Chaos events listed in the chaos panel (the most recent ones).
+_NARRATION_LIMIT = 64
 
 _CSS = """
 body { font-family: -apple-system, 'Segoe UI', Helvetica, Arial, sans-serif;
@@ -83,6 +89,176 @@ def _fmt_secs(s: float) -> str:
     return f"{s:.1f} s"
 
 
+# -- render-time views -------------------------------------------------------
+class SegmentDigest:
+    """Fixed-bin log-spaced duration histogram: O(1) memory per segment.
+
+    Durations from 1 ms to ~11.5 days land in 54 log-spaced bins (six
+    per decade); shorter/longer samples hit the under/overflow bins.
+    Alongside the histogram the digest keeps exact count / sum / min /
+    max, so the mean is exact and quantiles are bin-resolution
+    estimates (within one bin edge, ~47% relative width).
+    """
+
+    LO = 1e-3
+    HI = 1e6
+    BINS = 54  # six per decade across nine decades
+
+    __slots__ = ("counts", "n", "total", "min", "max")
+
+    def __init__(self) -> None:
+        # [underflow, BINS regular bins, overflow]
+        self.counts = np.zeros(self.BINS + 2, dtype=np.int64)
+        self.n = 0
+        self.total = 0.0
+        self.min = float("inf")
+        self.max = float("-inf")
+
+    @classmethod
+    def edges(cls) -> np.ndarray:
+        """The regular bins' edges (length ``BINS + 1``)."""
+        return np.logspace(np.log10(cls.LO), np.log10(cls.HI), cls.BINS + 1)
+
+    def add(self, x: float) -> None:
+        x = float(x)
+        if not np.isfinite(x):
+            return
+        self.n += 1
+        self.total += x
+        if x < self.min:
+            self.min = x
+        if x > self.max:
+            self.max = x
+        if x < self.LO:
+            self.counts[0] += 1
+        elif x >= self.HI:
+            self.counts[-1] += 1
+        else:
+            span = self.BINS / (np.log10(self.HI) - np.log10(self.LO))
+            i = int((np.log10(x) - np.log10(self.LO)) * span)
+            self.counts[1 + min(i, self.BINS - 1)] += 1
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.n if self.n else float("nan")
+
+    def quantile(self, q: float) -> float:
+        """Histogram-resolution quantile estimate (exact at min/max)."""
+        if self.n == 0:
+            return float("nan")
+        if q <= 0:
+            return self.min
+        if q >= 1:
+            return self.max
+        target = q * self.n
+        cum = 0
+        edges = self.edges()
+        for i, c in enumerate(self.counts):
+            cum += int(c)
+            if cum >= target:
+                if i == 0:
+                    return self.min
+                if i == len(self.counts) - 1:
+                    return self.max
+                # Geometric midpoint of the log-spaced bin.
+                return float(np.sqrt(edges[i - 1] * edges[i]))
+        return self.max  # pragma: no cover - defensive
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"<SegmentDigest n={self.n} mean={self.mean:.3g}>"
+
+
+def _segment_digests(metrics: RunMetrics) -> Dict[str, SegmentDigest]:
+    """segment name -> digest over the analysis tasks' segment durations."""
+    digests: Dict[str, SegmentDigest] = {}
+    for r in metrics.records:
+        if r.category != "analysis":
+            continue
+        for seg, dur in r.segments.items():
+            digest = digests.get(seg)
+            if digest is None:
+                digest = digests[seg] = SegmentDigest()
+            digest.add(dur)
+    return digests
+
+
+def _running_peaks(
+    metrics: RunMetrics, bin_width: float, now: Optional[float]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(bin_starts, max concurrent tasks per bin); a bin without samples
+    carries the previous bin's level forward."""
+    peaks: Dict[int, float] = {}
+    for t, running in zip(metrics.running.times, metrics.running.values):
+        i = int(t / bin_width)
+        if i not in peaks or running > peaks[i]:
+            peaks[i] = running
+    if not peaks:
+        return np.array([]), np.array([])
+    end_bin = max(peaks)
+    if now is not None:
+        end_bin = max(end_bin, int(now / bin_width))
+    starts = np.arange(0, end_bin + 1) * bin_width
+    out = np.zeros(len(starts))
+    level = 0.0
+    for i in range(len(starts)):
+        level = peaks.get(i, level)
+        out[i] = level
+    return starts, out
+
+
+def _completion_counts(
+    metrics: RunMetrics, bin_width: float, now: Optional[float]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(bin_starts, ok counts, failed counts) per bin, all categories.
+
+    The final edge closes the last bin, so completions stamped exactly
+    at the run end count in it.
+    """
+    if not metrics.records:
+        return np.array([]), np.array([]), np.array([])
+    end = max(r.finished for r in metrics.records)
+    if now is not None and now > end:
+        end = now
+    end = max(end, bin_width)
+    edges = np.arange(0.0, end + bin_width, bin_width)
+    n = len(edges) - 1
+    ok = np.zeros(n, dtype=np.int64)
+    failed = np.zeros(n, dtype=np.int64)
+    for r in metrics.records:
+        counts = ok if r.succeeded else failed
+        counts[min(int(r.finished / bin_width), n - 1)] += 1
+    return edges[:-1], ok, failed
+
+
+def _failure_codes(metrics: RunMetrics) -> Dict[str, int]:
+    """exit code name -> failed tasks, in first-failure order."""
+    return Counter(name for _t, name in metrics.failure_codes_timeline())
+
+
+def _output_bytes(metrics: RunMetrics) -> float:
+    """Output bytes of the successful tasks, summed in arrival order."""
+    total = 0.0
+    for _t, nbytes in metrics.output_log:
+        total += nbytes
+    return total
+
+
+def _narration(metrics: RunMetrics) -> List[Tuple[float, str, str]]:
+    """(t, topic, what) rows for the latest chaos events."""
+    rows = []
+    for t, topic, fields in metrics.chaos_log[-_NARRATION_LIMIT:]:
+        if topic.startswith("fault."):
+            what = fields.get("kind", fields.get("fault", ""))
+        elif topic.startswith("alert."):
+            what = f"{fields.get('detector', '?')}:{fields.get('severity', '')}"
+        elif topic == Topics.HOST_BLACKLIST:
+            what = fields.get("host")
+        else:  # recovery.fallback / recovery.resume
+            what = fields.get("workflow", "")
+        rows.append((t, topic, str(what)))
+    return rows
+
+
 # -- SVG strips -------------------------------------------------------------
 def _svg_bars(
     values: Sequence[float],
@@ -134,29 +310,34 @@ def _tile(key: str, value: str, klass: str = "") -> str:
 
 
 # -- panels -----------------------------------------------------------------
-def _headline(rollup: Rollup) -> str:
-    failed = rollup.n_failed()
-    makespan = rollup.max_finished or 0.0
+def _headline(metrics: RunMetrics, flow_bytes: Dict[str, float]) -> str:
+    failed = metrics.n_failed()
+    makespan = max((r.finished for r in metrics.records), default=0.0)
     tiles = [
-        _tile("tasks", str(rollup.n_tasks)),
-        _tile("succeeded", str(rollup.n_succeeded()), "ok"),
+        _tile("tasks", str(metrics.n_tasks)),
+        _tile("succeeded", str(metrics.n_succeeded()), "ok"),
         _tile("failed", str(failed), "bad" if failed else "ok"),
-        _tile("cpu / wall", f"{rollup.overall_efficiency():.1%}"),
+        _tile("cpu / wall", f"{metrics.overall_efficiency():.1%}"),
         _tile("makespan", _fmt_secs(makespan)),
-        _tile("output", _fmt_bytes(rollup.output_bytes)),
-        _tile("bytes moved", _fmt_bytes(sum(rollup.flow_bytes.values()))),
+        _tile("output", _fmt_bytes(_output_bytes(metrics))),
+        _tile("bytes moved", _fmt_bytes(sum(flow_bytes.values()))),
     ]
     return '<div class="tiles">' + "".join(tiles) + "</div>"
 
 
-def _bandwidth_panel(rollup: Rollup, now: Optional[float] = None) -> str:
-    starts, series = rollup.bandwidth_timeline(now=now)
+def _bandwidth_panel(
+    metrics: RunMetrics,
+    flow_bytes: Dict[str, float],
+    bin_width: float,
+    now: Optional[float],
+) -> str:
+    starts, series = metrics.bandwidth_timeline(bin_width, now=now)
     if not series:
         return ""
     colors = ["#5b9bd5", "#72c585", "#e0a33b", "#b37fd4", "#e06c5b", "#5bc8c2"]
     strips = []
     for i, (cls, vals) in enumerate(series.items()):
-        total = rollup.flow_bytes.get(cls, 0.0)
+        total = flow_bytes.get(cls, 0.0)
         peak = float(vals.max()) if len(vals) else 0.0
         strips.append(
             _strip(
@@ -165,9 +346,9 @@ def _bandwidth_panel(rollup: Rollup, now: Optional[float] = None) -> str:
                 note=f"total {_fmt_bytes(total)} · peak {_fmt_bytes(peak)}/s",
             )
         )
-    failed = rollup.n_flows_failed
+    failed = metrics.n_flows_failed()
     note = (
-        f'<div class="sub">{rollup.n_flows} flows, '
+        f'<div class="sub">{len(metrics.flows)} flows, '
         f'<span class="{"bad" if failed else "ok"}">{failed} failed</span></div>'
     )
     return (
@@ -178,10 +359,12 @@ def _bandwidth_panel(rollup: Rollup, now: Optional[float] = None) -> str:
     )
 
 
-def _taskstate_panel(rollup: Rollup, now: Optional[float] = None) -> str:
-    r_starts, running = rollup.running_timeline(now=now)
-    c_starts, ok, failed = rollup.completion_counts(now=now)
-    e_starts, eff = rollup.efficiency_timeline(now=now)
+def _taskstate_panel(
+    metrics: RunMetrics, bin_width: float, now: Optional[float]
+) -> str:
+    r_starts, running = _running_peaks(metrics, bin_width, now)
+    c_starts, ok, failed = _completion_counts(metrics, bin_width, now)
+    e_starts, eff = metrics.efficiency_timeline(bin_width, now=now)
     strips = []
     if len(running):
         strips.append(
@@ -218,7 +401,7 @@ def _taskstate_panel(rollup: Rollup, now: Optional[float] = None) -> str:
     if not strips:
         return ""
     bin_note = (
-        f'<div class="sub">bin width {_fmt_secs(rollup.bin_width)}, '
+        f'<div class="sub">bin width {_fmt_secs(bin_width)}, '
         f"time runs left→right from t=0</div>"
     )
     return (
@@ -229,14 +412,13 @@ def _taskstate_panel(rollup: Rollup, now: Optional[float] = None) -> str:
     )
 
 
-def _failure_rows(rollup: Rollup) -> str:
-    if not rollup.failure_codes:
+def _failure_rows(metrics: RunMetrics) -> str:
+    codes = _failure_codes(metrics)
+    if not codes:
         return ""
     rows = "".join(
         f"<tr><td class='mono'>{_esc(name)}</td><td>{count}</td></tr>"
-        for name, count in sorted(
-            rollup.failure_codes.items(), key=lambda kv: -kv[1]
-        )
+        for name, count in sorted(codes.items(), key=lambda kv: -kv[1])
     )
     return (
         "<div class='panel'><h2>Failures by exit code</h2>"
@@ -244,32 +426,34 @@ def _failure_rows(rollup: Rollup) -> str:
     )
 
 
-def _chaos_panel(rollup: Rollup) -> str:
+def _chaos_panel(metrics: RunMetrics) -> str:
+    injected = metrics.n_faults_injected
+    blacklisted = metrics.hosts_blacklisted()
     have = (
-        rollup.faults_injected
-        or rollup.evictions
-        or rollup.tasks_exhausted
-        or rollup.fallbacks
-        or rollup.resumes
-        or rollup.blacklisted_hosts
+        injected
+        or metrics.evictions_seen
+        or metrics.tasks_exhausted
+        or metrics.stream_fallbacks
+        or metrics.recovery_resumes
+        or blacklisted
     )
     if not have:
         return ""
     tiles = [
-        _tile("faults injected", str(rollup.faults_injected), "warn"),
-        _tile("faults cleared", str(rollup.faults_cleared)),
-        _tile("evictions", str(rollup.evictions)),
-        _tile("retry budgets spent", str(rollup.tasks_exhausted)),
-        _tile("stream fallbacks", str(rollup.fallbacks)),
-        _tile("warm restarts", str(rollup.resumes)),
-        _tile("hosts blacklisted", str(len(rollup.blacklisted_hosts))),
+        _tile("faults injected", str(injected), "warn"),
+        _tile("faults cleared", str(len(metrics.faults) - injected)),
+        _tile("evictions", str(metrics.evictions_seen)),
+        _tile("retry budgets spent", str(metrics.tasks_exhausted)),
+        _tile("stream fallbacks", str(len(metrics.stream_fallbacks))),
+        _tile("warm restarts", str(len(metrics.recovery_resumes))),
+        _tile("hosts blacklisted", str(len(blacklisted))),
     ]
     narration = ""
-    if rollup.narration:
+    if metrics.chaos_log:
         rows = "".join(
             f"<tr><td>{_fmt_secs(t)}</td><td class='mono'>{_esc(topic)}</td>"
             f"<td>{_esc(what)}</td></tr>"
-            for t, topic, what in rollup.narration
+            for t, topic, what in _narration(metrics)
         )
         narration = (
             "<table><tr><th>t</th><th>topic</th><th>what</th></tr>"
@@ -286,26 +470,16 @@ def _chaos_panel(rollup: Rollup) -> str:
     )
 
 
-def _integrity_panel(rollup: Rollup) -> str:
-    have = (
-        rollup.integrity_corrupt
-        or rollup.integrity_quarantined
-        or rollup.integrity_commits
-        or rollup.integrity_orphans
-        or rollup.duplicates_dropped
-    )
-    if not have:
+def _integrity_panel(metrics: RunMetrics) -> str:
+    if not metrics.has_integrity_data():
         return ""
+    corrupt = len(metrics.integrity_corrupt)
     tiles = [
-        _tile("ledger commits", str(rollup.integrity_commits), "ok"),
-        _tile(
-            "corruptions",
-            str(rollup.integrity_corrupt),
-            "bad" if rollup.integrity_corrupt else "ok",
-        ),
-        _tile("quarantined", str(rollup.integrity_quarantined)),
-        _tile("orphans swept", str(rollup.integrity_orphans)),
-        _tile("duplicates dropped", str(rollup.duplicates_dropped)),
+        _tile("ledger commits", str(metrics.integrity_commits), "ok"),
+        _tile("corruptions", str(corrupt), "bad" if corrupt else "ok"),
+        _tile("quarantined", str(len(metrics.integrity_quarantined))),
+        _tile("orphans swept", str(len(metrics.integrity_orphans))),
+        _tile("duplicates dropped", str(len(metrics.duplicates_dropped))),
     ]
     return (
         "<div class='panel'><h2>Output integrity &amp; exactly-once</h2>"
@@ -315,12 +489,13 @@ def _integrity_panel(rollup: Rollup) -> str:
     )
 
 
-def _segments_panel(rollup: Rollup) -> str:
-    if not rollup.segments:
+def _segments_panel(metrics: RunMetrics) -> str:
+    digests = _segment_digests(metrics)
+    if not digests:
         return ""
     rows = []
-    for seg in sorted(rollup.segments):
-        d = rollup.segments[seg]
+    for seg in sorted(digests):
+        d = digests[seg]
         hist = _svg_bars(d.counts, color="#8fa1b8", width=300, height=26)
         rows.append(
             f"<tr><td class='mono'>{_esc(seg)}</td><td>{d.n}</td>"
@@ -337,12 +512,8 @@ def _segments_panel(rollup: Rollup) -> str:
     )
 
 
-def _telemetry_panel(rollup: Rollup, bus_stats: Optional[Dict[str, int]]) -> str:
-    tiles = [
-        _tile("events folded", str(rollup.events_seen)),
-        _tile("retained cells", str(rollup.retained_cells())),
-        _tile("bin width", _fmt_secs(rollup.bin_width)),
-    ]
+def _telemetry_panel(bin_width: float, bus_stats: Optional[Dict[str, int]]) -> str:
+    tiles = [_tile("bin width", _fmt_secs(bin_width))]
     if bus_stats:
         tiles.extend(
             [
@@ -355,8 +526,7 @@ def _telemetry_panel(rollup: Rollup, bus_stats: Optional[Dict[str, int]]) -> str
     return (
         "<div class='panel'><h2>Telemetry</h2><div class='tiles'>"
         + "".join(tiles)
-        + "</div><div class='sub'>memory is bounded by retained cells "
-        "(windows × series), never by event count</div></div>"
+        + "</div></div>"
     )
 
 
@@ -526,8 +696,8 @@ def _evidence_table(diagnoses: Sequence) -> str:
 
 # -- entry points -----------------------------------------------------------
 def render_dashboard(
-    rollup: Rollup,
-    metrics=None,
+    metrics: RunMetrics,
+    bin_width: float = 1800.0,
     spans: Optional[Iterable] = None,
     bus_stats: Optional[Dict[str, int]] = None,
     title: str = "repro run",
@@ -538,10 +708,10 @@ def render_dashboard(
 ) -> str:
     """Render one self-contained HTML dashboard string.
 
-    *rollup* drives every strip and counter panel.  *metrics* (a
-    ``RunMetrics``) additionally enables the §5 ``diagnose()`` panel;
-    *spans* (finished Span objects) makes each firing heuristic link to
-    its evidence spans; *bus_stats* (``EventBus.stats()``) fills the
+    *metrics* drives every panel, the §5 ``diagnose()`` findings
+    included; the timelines use *bin_width*-second bins.  *spans*
+    (finished Span objects) makes each firing heuristic link to its
+    evidence spans; *bus_stats* (``EventBus.stats()``) fills the
     telemetry panel's bus counters.
 
     The watch extras light up the live-health panel: *alerts* is a
@@ -551,28 +721,25 @@ def render_dashboard(
     present — a mid-run refresh then shows the silent tail instead of
     truncating at the last completed event.
     """
-    diagnoses: List = []
-    if metrics is not None:
-        from .troubleshoot import diagnose
-
-        diagnoses = diagnose(metrics, spans=list(spans) if spans else None)
+    diagnoses = diagnose(metrics, spans=list(spans) if spans else None)
+    flow_bytes = metrics.flow_bytes_by_class()
     body = [
         f"<h1>{_esc(title)}</h1>",
-        "<div class='sub'>static ops dashboard · rendered from streaming "
-        "rollups · <span class='mono'>python -m repro dash</span></div>",
-        _headline(rollup),
+        "<div class='sub'>static ops dashboard · "
+        "<span class='mono'>python -m repro dash</span></div>",
+        _headline(metrics, flow_bytes),
         _watch_panel(alerts, watch_history, bus_timeline)
         if alerts is not None
         else "",
-        _taskstate_panel(rollup, now=now),
-        _bandwidth_panel(rollup, now=now),
-        _failure_rows(rollup),
-        _chaos_panel(rollup),
-        _integrity_panel(rollup),
-        _segments_panel(rollup),
-        _diagnosis_panel(diagnoses) if metrics is not None else "",
+        _taskstate_panel(metrics, bin_width, now),
+        _bandwidth_panel(metrics, flow_bytes, bin_width, now),
+        _failure_rows(metrics),
+        _chaos_panel(metrics),
+        _integrity_panel(metrics),
+        _segments_panel(metrics),
+        _diagnosis_panel(diagnoses),
         _evidence_table(diagnoses),
-        _telemetry_panel(rollup, bus_stats),
+        _telemetry_panel(bin_width, bus_stats),
     ]
     return (
         "<!DOCTYPE html><html lang='en'><head><meta charset='utf-8'>"
@@ -581,7 +748,7 @@ def render_dashboard(
     )
 
 
-def write_dashboard(path: str, rollup: Rollup, **kwargs) -> str:
+def write_dashboard(path: str, metrics: RunMetrics, **kwargs) -> str:
     """Render and write the dashboard atomically; returns the path.
 
     The page is written to a temp file in the destination directory and
@@ -589,7 +756,7 @@ def write_dashboard(path: str, rollup: Rollup, **kwargs) -> str:
     CI artifact scrape) never observes a torn half-written page even
     while a live watcher re-renders every window.
     """
-    html_text = render_dashboard(rollup, **kwargs)
+    html_text = render_dashboard(metrics, **kwargs)
     dest_dir = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=dest_dir, prefix=".dash-", suffix=".tmp")
     try:

@@ -8,6 +8,9 @@ master and reduces the stream to the paper's views:
 * run timelines (Figs 10, 11): concurrent tasks, completions and
   failures per bin, CPU/wall efficiency per bin, setup and stage-out
   segment durations over time, failure exit codes over time.
+
+It is the monitor's one record-keeping fold: the text report, the CSV
+export, the §5 heuristics and the HTML dashboard all read it.
 """
 
 from __future__ import annotations
@@ -26,6 +29,25 @@ __all__ = ["TaskRecord", "FlowRecord", "RuntimeBreakdown", "RunMetrics"]
 #: Topics whose events carry a ``running`` field sampling the number of
 #: concurrently executing tasks.
 _RUNNING_TOPICS = (Topics.TASK_START, Topics.TASK_DONE, Topics.TASK_REQUEUE)
+
+
+def _bin_starts(end: float, bin_width: float, now: Optional[float]) -> np.ndarray:
+    """Bin starts from t=0 through *end*, or through *now* when later."""
+    if now is not None and now > end:
+        end = now
+    return np.arange(0.0, max(end, bin_width), bin_width)
+
+
+def _fold_bins(cells: Dict[int, float], n: int) -> np.ndarray:
+    """Scatter per-bin sums into *n* bins, in bin order.
+
+    A value stamped exactly at the end of the time axis lands one bin
+    past it; it folds into the last bin after that bin's own sum.
+    """
+    out = np.zeros(n)
+    for i in sorted(cells):
+        out[min(i, n - 1)] += cells[i]
+    return out
 
 
 @dataclass(frozen=True)
@@ -221,6 +243,10 @@ class RunMetrics:
         #: (time, topic, fields) for every ``alert.raise``/``alert.clear``
         #: a watch engine published on this run's bus, in bus order.
         self.alerts: List[tuple] = []
+        #: (time, topic, fields) for every fault, blacklist, fallback,
+        #: resume and alert event, in arrival order: the per-kind lists
+        #: above do not keep the order across topics.
+        self.chaos_log: List[tuple] = []
 
     # -- ingestion -------------------------------------------------------------
     def ingest(self, topic: str, t: float, fields: Dict) -> None:
@@ -248,12 +274,13 @@ class RunMetrics:
             self.blacklist_log.append(
                 (t, fields.get("host"), bool(fields.get("active", True)))
             )
+            self._chaos(t, topic, fields)
         elif topic == Topics.TASK_EXHAUSTED:
             self.tasks_exhausted += 1
         elif topic == Topics.RECOVERY_FALLBACK:
-            self.stream_fallbacks.append((t, dict(fields)))
+            self.stream_fallbacks.append((t, self._chaos(t, topic, fields)))
         elif topic == Topics.RECOVERY_RESUME:
-            self.recovery_resumes.append((t, dict(fields)))
+            self.recovery_resumes.append((t, self._chaos(t, topic, fields)))
         elif topic == Topics.TASK_DUPLICATE:
             self.duplicates_dropped.append((t, dict(fields)))
         elif topic == Topics.INTEGRITY_CORRUPT:
@@ -265,9 +292,15 @@ class RunMetrics:
         elif topic == Topics.INTEGRITY_ORPHAN:
             self.integrity_orphans.append((t, dict(fields)))
         elif topic.startswith("fault."):
-            self.faults.append((t, topic, dict(fields)))
+            self.faults.append((t, topic, self._chaos(t, topic, fields)))
         elif topic.startswith("alert."):
-            self.alerts.append((t, topic, dict(fields)))
+            self.alerts.append((t, topic, self._chaos(t, topic, fields)))
+
+    def _chaos(self, t: float, topic: str, fields: Dict) -> Dict:
+        """Log a chaos event in arrival order; returns its fields' copy."""
+        fields = dict(fields)
+        self.chaos_log.append((t, topic, fields))
+        return fields
 
     # -- Fig 8 ------------------------------------------------------------------
     def runtime_breakdown(self, analysis_only: bool = True) -> RuntimeBreakdown:
@@ -292,22 +325,27 @@ class RunMetrics:
         return b
 
     # -- Figs 10/11 ------------------------------------------------------------------
-    def efficiency_timeline(self, bin_width: float):
-        """(bin_starts, cpu/wall ratio) per bin over finished tasks."""
+    def efficiency_timeline(self, bin_width: float, now: Optional[float] = None):
+        """(bin_starts, cpu/wall ratio) per bin over finished analysis tasks.
+
+        *now* (a mid-run page) extends the time axis to the current sim
+        time without changing any bin's value.
+        """
         if not self.records:
             return np.array([]), np.array([])
-        end = max(r.finished for r in self.records)
-        starts = np.arange(0.0, max(end, bin_width), bin_width)
-        cpu = np.zeros_like(starts)
-        wall = np.zeros_like(starts)
+        starts = _bin_starts(max(r.finished for r in self.records), bin_width, now)
+        cpu: Dict[int, float] = {}
+        wall: Dict[int, float] = {}
         for r in self.records:
             if r.category != "analysis":
                 continue
-            i = min(int(r.finished / bin_width), len(starts) - 1)
-            cpu[i] += r.segments.get("cpu", 0.0)
-            wall[i] += r.wall_time + r.lost_time
+            i = int(r.finished / bin_width)
+            cpu[i] = cpu.get(i, 0.0) + r.segments.get("cpu", 0.0)
+            wall[i] = wall.get(i, 0.0) + (r.wall_time + r.lost_time)
+        cpu_bins = _fold_bins(cpu, len(starts))
+        wall_bins = _fold_bins(wall, len(starts))
         with np.errstate(divide="ignore", invalid="ignore"):
-            eff = np.where(wall > 0, cpu / wall, 0.0)
+            eff = np.where(wall_bins > 0, cpu_bins / wall_bins, 0.0)
         return starts, eff
 
     def segment_timeline(self, segment: str, category: str = "analysis"):
@@ -357,35 +395,35 @@ class RunMetrics:
     def n_flows_failed(self) -> int:
         return sum(1 for f in self.flows if not f.ok)
 
-    def bandwidth_timeline(self, bin_width: float):
+    def bandwidth_timeline(self, bin_width: float, now: Optional[float] = None):
         """Per-traffic-class bandwidth over time (the Fig 10 analogue).
 
         Returns ``(bin_starts, {cls: bytes/s array})``.  Each flow's
         bytes are spread uniformly over its active interval, so a bin's
         value is the aggregate rate that class sustained during it.
+        *now* extends the time axis as in :meth:`efficiency_timeline`.
         """
         if not self.flows:
             return np.array([]), {}
-        end = max(f.finished for f in self.flows)
-        starts = np.arange(0.0, max(end, bin_width), bin_width)
-        series: Dict[str, np.ndarray] = {}
+        starts = _bin_starts(max(f.finished for f in self.flows), bin_width, now)
+        cells: Dict[str, Dict[int, float]] = {}
         for f in self.flows:
             if f.nbytes <= 0:
                 continue
-            arr = series.setdefault(f.cls, np.zeros_like(starts))
+            per_bin = cells.setdefault(f.cls, {})
             t0, t1 = f.started, max(f.finished, f.started)
             if t1 <= t0:  # instantaneous: drop it all in one bin
-                arr[min(int(t0 / bin_width), len(starts) - 1)] += f.nbytes / bin_width
+                i = int(t0 / bin_width)
+                per_bin[i] = per_bin.get(i, 0.0) + f.nbytes / bin_width
                 continue
             rate = f.nbytes / (t1 - t0)
-            lo = min(int(t0 / bin_width), len(starts) - 1)
-            hi = min(int(t1 / bin_width), len(starts) - 1)
-            for i in range(lo, hi + 1):
-                b0, b1 = starts[i], starts[i] + bin_width
-                overlap = min(t1, b1) - max(t0, b0)
+            for i in range(int(t0 / bin_width), int(t1 / bin_width) + 1):
+                b0 = i * bin_width
+                overlap = min(t1, b0 + bin_width) - max(t0, b0)
                 if overlap > 0:
-                    arr[i] += rate * overlap / bin_width
-        return starts, series
+                    per_bin[i] = per_bin.get(i, 0.0) + rate * overlap / bin_width
+        n = len(starts)
+        return starts, {cls: _fold_bins(c, n) for cls, c in cells.items()}
 
     # -- headline numbers ---------------------------------------------------------
     @property

@@ -1,46 +1,12 @@
-"""Streaming, windowed telemetry rollups: O(windows) memory, exact parity.
+"""The windowed streaming fold the dashboard used to read, kept as a reference.
 
-:class:`~repro.monitor.records.RunMetrics` keeps every task and flow
-record in memory — fine for 10k tasks, fatal for the 100k-worker
-campaigns the roadmap targets.  This module is the bounded-memory twin:
-:class:`Rollup` folds the same bus event stream into *per-window
-accumulator cells* (dicts keyed by bin index) plus scalar counters and
-fixed-bin segment digests, so peak retention scales with the number of
-occupied time windows and never with the number of events.  It is a
-monitor fold like ``RunMetrics`` (same ``TOPICS``, same
-``ingest(topic, t, fields)``), attached live through
-:class:`~repro.monitor.collector.BusCollector` or fed a recording by
-:func:`~repro.monitor.collector.replay`.
-
-Parity is the contract, not an aspiration: the finalisers replicate the
-``RunMetrics`` binning arithmetic expression-for-expression —
-
-* ``efficiency_timeline``: per-bin ``cpu += segments["cpu"]`` /
-  ``wall += wall_time + lost_time`` over analysis records, bins from
-  ``np.arange(0, max(end, bin_width), bin_width)`` with the final-bin
-  clamp ``min(int(t / bin_width), n - 1)``;
-* ``bandwidth_timeline``: each flow's bytes spread uniformly over its
-  active interval with the identical per-bin overlap expression
-  ``rate * overlap / bin_width``;
-* scalar counters and float aggregates (the Fig 8 breakdown, byte
-  totals, digest sums) accumulate in arrival order, so the float sums
-  are bit-identical to iterating the record lists.
-
-Streaming accumulation is *unclamped* (cells keyed by the raw bin
-index); the clamp needs the run's end, which is only known at finalise
-time, so overflow cells are folded into the last bin then.  Overflow
-can only hold events stamped exactly at the run end when the end is an
-exact bin multiple, and such events also arrive last, so the fold adds
-them in the same order the exact path would.
-
-:func:`verify_parity` checks a rollup against a ``RunMetrics`` built
-from the same stream and returns the list of mismatches (empty on
-success); ``tests/test_rollup_parity.py`` runs it on the tier-1
-scenarios.
-
-Like everything under ``repro.monitor``, this module depends only on
-the bus vocabulary — never on the scheduler, batch, CVMFS, or storage
-layers.
+Until the dashboard rendered from :class:`~repro.monitor.RunMetrics`,
+it read a ``Rollup``: a second fold of the same bus events into
+per-window accumulator cells.  The class is copied here from the removed
+``repro.monitor.rollup`` with only its imports changed (its
+``SegmentDigest`` moved unchanged into :mod:`repro.monitor.dash`).
+``tests/test_rollup_parity.py`` checks that every dashboard view computed
+from ``RunMetrics`` equals this fold's, bit for bit.
 """
 
 from __future__ import annotations
@@ -50,92 +16,15 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..analysis.report import exit_code_name
-from ..desim.bus import Topics
-from .records import _RUNNING_TOPICS, RunMetrics, RuntimeBreakdown
+from repro.analysis.report import exit_code_name
+from repro.desim.bus import Topics
+from repro.monitor.dash import SegmentDigest
+from repro.monitor.records import _RUNNING_TOPICS, RunMetrics, RuntimeBreakdown
 
-__all__ = ["Rollup", "SegmentDigest", "verify_parity"]
+__all__ = ["Rollup"]
 
 #: Bounded narration kept for the dashboard's chaos panel.
 _NARRATION_LIMIT = 64
-
-
-class SegmentDigest:
-    """Fixed-bin log-spaced duration histogram: O(1) memory per segment.
-
-    Durations from 1 ms to ~11.5 days land in 54 log-spaced bins (six
-    per decade); shorter/longer samples hit the under/overflow bins.
-    Alongside the histogram the digest keeps exact count / sum / min /
-    max, so the mean is exact and quantiles are bin-resolution
-    estimates (within one bin edge, ~47% relative width).
-    """
-
-    LO = 1e-3
-    HI = 1e6
-    BINS = 54  # six per decade across nine decades
-
-    __slots__ = ("counts", "n", "total", "min", "max")
-
-    def __init__(self) -> None:
-        # [underflow, BINS regular bins, overflow]
-        self.counts = np.zeros(self.BINS + 2, dtype=np.int64)
-        self.n = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-
-    @classmethod
-    def edges(cls) -> np.ndarray:
-        """The regular bins' edges (length ``BINS + 1``)."""
-        return np.logspace(np.log10(cls.LO), np.log10(cls.HI), cls.BINS + 1)
-
-    def add(self, x: float) -> None:
-        x = float(x)
-        if not np.isfinite(x):
-            return
-        self.n += 1
-        self.total += x
-        if x < self.min:
-            self.min = x
-        if x > self.max:
-            self.max = x
-        if x < self.LO:
-            self.counts[0] += 1
-        elif x >= self.HI:
-            self.counts[-1] += 1
-        else:
-            span = self.BINS / (np.log10(self.HI) - np.log10(self.LO))
-            i = int((np.log10(x) - np.log10(self.LO)) * span)
-            self.counts[1 + min(i, self.BINS - 1)] += 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.n if self.n else float("nan")
-
-    def quantile(self, q: float) -> float:
-        """Histogram-resolution quantile estimate (exact at min/max)."""
-        if self.n == 0:
-            return float("nan")
-        if q <= 0:
-            return self.min
-        if q >= 1:
-            return self.max
-        target = q * self.n
-        cum = 0
-        edges = self.edges()
-        for i, c in enumerate(self.counts):
-            cum += int(c)
-            if cum >= target:
-                if i == 0:
-                    return self.min
-                if i == len(self.counts) - 1:
-                    return self.max
-                # Geometric midpoint of the log-spaced bin.
-                return float(np.sqrt(edges[i - 1] * edges[i]))
-        return self.max  # pragma: no cover - defensive
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<SegmentDigest n={self.n} mean={self.mean:.3g}>"
 
 
 class Rollup:
@@ -495,110 +384,3 @@ class Rollup:
             f"tasks={self.n_tasks} flows={self.n_flows} "
             f"cells={self.retained_cells()}>"
         )
-
-
-def verify_parity(rollup: Rollup, metrics: RunMetrics) -> List[str]:
-    """Compare a rollup against the exact path; return mismatch strings.
-
-    Every timeline is compared bin-for-bin and every counter and float
-    aggregate (Fig 8 breakdown, overall efficiency, flow and output
-    bytes) with ``==``: both folds sum in arrival order, so they must
-    agree to the bit.  Digest means use a 1e-9 relative tolerance
-    because ``np.mean`` sums pairwise while the digest sums in order.
-    """
-    from .stats import all_segment_stats
-
-    problems: List[str] = []
-
-    def check(name: str, a, b) -> None:
-        a, b = np.asarray(a), np.asarray(b)
-        if a.shape != b.shape:
-            problems.append(f"{name}: shape {a.shape} != {b.shape}")
-        elif a.size and not np.array_equal(a, b):
-            worst = float(np.max(np.abs(a - b)))
-            problems.append(f"{name}: values differ (max abs delta {worst:g})")
-
-    bw = rollup.bin_width
-    # Timelines, bin for bin.
-    es, ev = metrics.efficiency_timeline(bw)
-    rs, rv = rollup.efficiency_timeline()
-    check("efficiency.starts", rs, es)
-    check("efficiency.values", rv, ev)
-    fs, fseries = metrics.bandwidth_timeline(bw)
-    gs, gseries = rollup.bandwidth_timeline()
-    check("bandwidth.starts", gs, fs)
-    if sorted(fseries) != sorted(gseries):
-        problems.append(
-            f"bandwidth.classes: {sorted(gseries)} != {sorted(fseries)}"
-        )
-    else:
-        for cls in fseries:
-            check(f"bandwidth[{cls}]", gseries[cls], fseries[cls])
-    if rollup.n_tasks:
-        end = rollup.max_finished
-        cs, ok, failed = rollup.completion_counts()
-        e_ok_s, e_ok = metrics.completions.counts(bw, "ok", t_end=end)
-        _, e_failed = metrics.completions.counts(bw, "failed", t_end=end)
-        check("completions.starts", cs, e_ok_s)
-        check("completions.ok", ok, e_ok)
-        check("completions.failed", failed, e_failed)
-    # Headline counters, the Fig 8 breakdown and byte totals.
-    output_bytes = 0.0
-    for _t, nbytes in metrics.output_log:
-        output_bytes += nbytes
-    scalars = [
-        ("n_tasks", rollup.n_tasks, metrics.n_tasks),
-        ("n_succeeded", rollup.n_succeeded(), metrics.n_succeeded()),
-        ("n_failed", rollup.n_failed(), metrics.n_failed()),
-        ("evictions", rollup.evictions, metrics.evictions_seen),
-        ("exhausted", rollup.tasks_exhausted, metrics.tasks_exhausted),
-        ("fallbacks", rollup.fallbacks, len(metrics.stream_fallbacks)),
-        ("resumes", rollup.resumes, len(metrics.recovery_resumes)),
-        ("faults_injected", rollup.faults_injected, metrics.n_faults_injected),
-        ("blacklisted", rollup.blacklisted_hosts, metrics.hosts_blacklisted()),
-        ("corrupt", rollup.integrity_corrupt, len(metrics.integrity_corrupt)),
-        (
-            "quarantined",
-            rollup.integrity_quarantined,
-            len(metrics.integrity_quarantined),
-        ),
-        ("commits", rollup.integrity_commits, metrics.integrity_commits),
-        ("orphans", rollup.integrity_orphans, len(metrics.integrity_orphans)),
-        ("duplicates", rollup.duplicates_dropped, len(metrics.duplicates_dropped)),
-        ("n_flows", rollup.n_flows, len(metrics.flows)),
-        ("n_flows_failed", rollup.n_flows_failed, metrics.n_flows_failed()),
-        ("flow_bytes", rollup.flow_bytes, metrics.flow_bytes_by_class()),
-        ("output_bytes", rollup.output_bytes, output_bytes),
-        (
-            "breakdown",
-            rollup.breakdown.as_dict(),
-            metrics.runtime_breakdown().as_dict(),
-        ),
-        (
-            "overall_efficiency",
-            rollup.overall_efficiency(),
-            metrics.overall_efficiency(),
-        ),
-        ("alerts_raised", rollup.alerts_raised, metrics.n_alerts_raised),
-        ("alerts_cleared", rollup.alerts_cleared, metrics.n_alerts_cleared),
-    ]
-    for name, got, want in scalars:
-        if got != want:
-            problems.append(f"{name}: {got!r} != {want!r}")
-    # Segment digests: exact counts/max, near-exact means.
-    exact = all_segment_stats(metrics)
-    if sorted(exact) != sorted(rollup.segments):
-        problems.append(
-            f"segments: {sorted(rollup.segments)} != {sorted(exact)}"
-        )
-    else:
-        for seg, stats in exact.items():
-            d = rollup.segments[seg]
-            if d.n != stats.n:
-                problems.append(f"segment[{seg}].n: {d.n} != {stats.n}")
-                continue
-            if not np.isclose(d.mean, stats.mean, rtol=1e-9, atol=0.0):
-                problems.append(f"segment[{seg}].mean: {d.mean} != {stats.mean}")
-            if d.max != stats.max:
-                problems.append(f"segment[{seg}].max: {d.max} != {stats.max}")
-    return problems

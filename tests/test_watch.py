@@ -15,7 +15,7 @@ from repro.monitor import (
     DEFAULT_DETECTORS,
     BusCollector,
     DetectorSpec,
-    Rollup,
+    RunMetrics,
     RunWatcher,
     SpanTracer,
     WatchEngine,
@@ -189,16 +189,17 @@ def test_default_catalogue_covers_the_section5_heuristics():
 # ------------------------------------------------------------------ scenarios
 @pytest.fixture(scope="module")
 def chaos_watch():
-    """One chaos run with the full observer stack attached."""
+    """One chaos run with the full observer stack attached: a watcher,
+    a tracer and a dashboard fold beside the run's own."""
     env = Environment()
     tracer = SpanTracer(env)
-    rollup = Rollup()
-    BusCollector(env.bus, rollup)
+    dash_fold = RunMetrics()
+    BusCollector(env.bus, dash_fold)
     watcher = RunWatcher(env.bus)
     prepared = prepare_chaos(files=60, machines=12, cores=4, seed=5, env=env)
     execute_prepared(prepared, settle=300.0)
     tracer.finalize()
-    return prepared.run, watcher, rollup, tracer
+    return prepared.run, watcher, dash_fold, tracer
 
 
 def test_clean_quickstart_is_alert_silent():
@@ -211,7 +212,7 @@ def test_clean_quickstart_is_alert_silent():
 
 
 def test_chaos_raises_storm_and_blacklist_with_evidence(chaos_watch):
-    run, watcher, rollup, tracer = chaos_watch
+    run, watcher, dash_fold, tracer = chaos_watch
     raised = watcher.engine.alerts_raised()
     detectors = {a["detector"] for a in raised}
     assert "eviction_storm" in detectors
@@ -224,15 +225,16 @@ def test_chaos_raises_storm_and_blacklist_with_evidence(chaos_watch):
 
 
 def test_alerts_flow_into_metrics_rollup_and_report(chaos_watch):
-    run, watcher, rollup, tracer = chaos_watch
+    run, watcher, dash_fold, tracer = chaos_watch
     raised = len(watcher.engine.alerts_raised())
     cleared = len(watcher.engine.alerts_cleared())
     assert raised > 0
-    # The collector and the rollup both saw the published alert events.
+    # The run's collector and the dashboard fold both saw the published
+    # alert events.
     assert run.metrics.n_alerts_raised == raised
     assert run.metrics.n_alerts_cleared == cleared
-    assert rollup.alerts_raised == raised
-    assert rollup.alerts_cleared == cleared
+    assert dash_fold.n_alerts_raised == raised
+    assert dash_fold.n_alerts_cleared == cleared
     report = render_report(run)
     assert "live run health (watch alerts)" in report
     assert "RAISE" in report
@@ -240,7 +242,7 @@ def test_alerts_flow_into_metrics_rollup_and_report(chaos_watch):
 
 
 def test_watcher_samples_bus_stats_per_window(chaos_watch):
-    run, watcher, rollup, tracer = chaos_watch
+    run, watcher, dash_fold, tracer = chaos_watch
     assert len(watcher.bus_timeline) == watcher.engine.windows_closed
     published = [p for _, p, _ in watcher.bus_timeline]
     assert published == sorted(published)  # monotone counters
