@@ -134,9 +134,9 @@ def churn_domain_publish(n_processes=200, ticks=50, every=1, mode="idle"):
     *mode* selects the publish idiom at the site:
 
     * ``"baseline"`` — publish site compiled out (the reference loop);
-    * ``"idle"`` / ``"subscribed"`` — the legacy ``if bus:`` +
-      ``bus.publish(topic, **fields)`` pattern, without / with a live
-      classic subscriber;
+    * ``"idle"`` / ``"subscribed"`` — the cold-site idiom ``if bus:`` +
+      ``bus.port(topic).emit(**fields)`` (a port lookup per emit),
+      without / with a live classic subscriber;
     * ``"port_idle"`` — the per-topic :class:`TopicPort` fast path
       (``if port.on: port.emit(...)``) with nothing subscribed;
     * ``"port_event"`` — the port fast path delivering to a classic
@@ -184,7 +184,7 @@ def churn_domain_publish(n_processes=200, ticks=50, every=1, mode="idle"):
                 if i % every == 0 and publish:
                     bus = env.bus
                     if bus:
-                        bus.publish("bench.tick", n=i)
+                        bus.port("bench.tick").emit(n=i)
 
     for _ in range(n_processes):
         env.process(ticker(env))
@@ -274,8 +274,8 @@ def test_bus_overhead_idle_and_subscribed():
             fh.write(f"{label}:\n")
             fh.write(f"  baseline             {base * 1e3:8.3f} ms\n")
             ratios = results[key]["overhead"]
-            fh.write(f"  idle publish()       {ratios['idle']:+8.1%}\n")
-            fh.write(f"  subscribed publish() {ratios['subscribed']:+8.1%}\n")
+            fh.write(f"  idle cold site       {ratios['idle']:+8.1%}\n")
+            fh.write(f"  subscribed cold site {ratios['subscribed']:+8.1%}\n")
             fh.write(f"  idle port            {ratios['port_idle']:+8.1%}\n")
             fh.write(f"  port -> event sub    {ratios['port_event']:+8.1%}\n")
             fh.write(f"  port -> raw sub      {ratios['port_raw']:+8.1%}\n\n")
@@ -290,7 +290,7 @@ def test_bus_overhead_idle_and_subscribed():
     assert real["port_raw"] < 0.12, f"raw port overhead {real['port_raw']:.1%}"
     # Adversarial density: the guards stay ~free; the port raw tap is
     # held to the hard ceiling CI gates on; the event-materialising
-    # paths are bounded loosely (they exist for cold sites and legacy
+    # paths are bounded loosely (they exist for cold sites and classic
     # sinks, not hot loops).
     assert dense["idle"] < 0.25, f"dense idle bus overhead {dense['idle']:.1%}"
     assert dense["port_idle"] < 0.25, f"dense idle port overhead {dense['port_idle']:.1%}"

@@ -59,27 +59,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("quickstart", help="tiny end-to-end MC run")
+    # The options every recorded run command shares.
+    run_opts = argparse.ArgumentParser(add_help=False)
+    run_opts.add_argument("--seed", type=int, default=0)
+    run_opts.add_argument("--events-out", default=None, metavar="PATH",
+                          help="record the run's bus events to a JSONL file")
+    run_opts.add_argument("--dash-out", default=None, metavar="PATH",
+                          help="also render the run's HTML ops dashboard")
+
+    q = sub.add_parser("quickstart", parents=[run_opts],
+                       help="tiny end-to-end MC run")
     q.add_argument("--events", type=int, default=50_000)
     q.add_argument("--workers", type=int, default=10)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--events-out", default=None, metavar="PATH",
-                   help="record the run's bus events to a JSONL file")
-    q.add_argument("--dash-out", default=None, metavar="PATH",
-                   help="also render the run's HTML ops dashboard")
 
-    s = sub.add_parser("simulate", help="Monte-Carlo production run")
+    s = sub.add_parser("simulate", parents=[run_opts],
+                       help="Monte-Carlo production run")
     s.add_argument("--events", type=int, default=1_000_000)
     s.add_argument("--machines", type=int, default=50)
     s.add_argument("--cores", type=int, default=8)
     s.add_argument("--profile", default="digi-reco-mc")
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--events-out", default=None, metavar="PATH",
-                   help="record the run's bus events to a JSONL file")
-    s.add_argument("--dash-out", default=None, metavar="PATH",
-                   help="also render the run's HTML ops dashboard")
 
-    p = sub.add_parser("process", help="data-processing run over a synthetic dataset")
+    p = sub.add_parser("process", parents=[run_opts],
+                       help="data-processing run over a synthetic dataset")
     p.add_argument("--files", type=int, default=200)
     p.add_argument("--machines", type=int, default=25)
     p.add_argument("--cores", type=int, default=8)
@@ -87,11 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wan-gbit", type=float, default=0.6)
     p.add_argument("--outage-hours", type=float, default=0.0,
                    help="inject a 1-hour WAN outage starting at this hour (0 = none)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--events-out", default=None, metavar="PATH",
-                   help="record the run's bus events to a JSONL file")
-    p.add_argument("--dash-out", default=None, metavar="PATH",
-                   help="also render the run's HTML ops dashboard")
 
     t = sub.add_parser("tasksize", help="run the section-4.1 task-size optimiser")
     t.add_argument("--tasklets", type=int, default=20_000)
@@ -103,13 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser(
         "chaos",
+        parents=[run_opts],
         help="data run under injected faults with active recovery engaged",
     )
     c.add_argument("--files", type=int, default=60)
     c.add_argument("--machines", type=int, default=12)
     c.add_argument("--cores", type=int, default=4)
     c.add_argument("--wan-gbit", type=float, default=1.0)
-    c.add_argument("--seed", type=int, default=0)
     c.add_argument("--bit-rot", type=int, default=0, metavar="N",
                    help="silently corrupt N committed files at rest")
     c.add_argument("--truncate", type=int, default=0, metavar="N",
@@ -120,10 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SECONDS",
                    help="kill the Lobster master at this simulated second "
                         "and warm-restart the campaign from its DB")
-    c.add_argument("--events-out", default=None, metavar="PATH",
-                   help="record the run's bus events to a JSONL file")
-    c.add_argument("--dash-out", default=None, metavar="PATH",
-                   help="also render the run's HTML ops dashboard")
 
     ct = sub.add_parser(
         "crashtest",

@@ -330,8 +330,7 @@ class LobsterRun:
                 )
                 stats = self._recover_outputs(w)
                 self.db.update_tasklets(w.tasklets)
-                self.env.bus.publish(
-                    Topics.RECOVERY_RESUME,
+                self.env.bus.port(Topics.RECOVERY_RESUME).emit(
                     workflow=wf.label,
                     tasklets=w.tasklets.total,
                     done=w.tasklets.done_count,
@@ -450,8 +449,7 @@ class LobsterRun:
             and self.db.ledger_state(self._output_name(result)) is not None
         ):
             self.duplicates_dropped += 1
-            self.env.bus.publish(
-                Topics.TASK_DUPLICATE,
+            self.env.bus.port(Topics.TASK_DUPLICATE).emit(
                 task_id=result.task.task_id,
                 category=result.task.category,
                 source="ledger",
@@ -459,8 +457,7 @@ class LobsterRun:
                 workflow=payload.workflow,
             )
             return
-        self.env.bus.publish(
-            Topics.TASK_RESULT,
+        self.env.bus.port(Topics.TASK_RESULT).emit(
             workflow=payload.workflow,
             task_id=result.task.task_id,
             category=result.task.category,
@@ -516,8 +513,7 @@ class LobsterRun:
                     se.verify(out.name)
                 except IntegrityError:
                     se.delete(out.name)
-                    self.env.bus.publish(
-                        Topics.INTEGRITY_QUARANTINE,
+                    self.env.bus.port(Topics.INTEGRITY_QUARANTINE).emit(
                         name=out.name,
                         workflow=payload.workflow,
                         kind="analysis",
@@ -538,8 +534,7 @@ class LobsterRun:
                         out.name, self.env.now, payload.tasklets
                     )
                     persisted = True
-                    self.env.bus.publish(
-                        Topics.INTEGRITY_COMMIT,
+                    self.env.bus.port(Topics.INTEGRITY_COMMIT).emit(
                         name=out.name,
                         workflow=payload.workflow,
                         kind="analysis",
@@ -584,8 +579,7 @@ class LobsterRun:
         se = self.services.se
         for f in files:
             task_id = self.db.ledger_task_id(f.name)
-            bus.publish(
-                Topics.INTEGRITY_QUARANTINE,
+            bus.port(Topics.INTEGRITY_QUARANTINE).emit(
                 name=f.name,
                 workflow=w.label,
                 kind="analysis",
@@ -638,7 +632,7 @@ class LobsterRun:
         for name in self.db.ledger_sweep_orphans(wf.label):
             if se.exists(name):
                 se.delete(name)
-            bus.publish(Topics.INTEGRITY_ORPHAN, name=name, workflow=wf.label)
+            bus.port(Topics.INTEGRITY_ORPHAN).emit(name=name, workflow=wf.label)
             stats["orphans_swept"] += 1
         # ---- ledger ↔ tasklet reconciliation ---------------------------
         satisfied: set = set()

@@ -289,8 +289,7 @@ class MergeManager:
             )
         bus = self.services.env.bus
         if bus:
-            bus.publish(
-                Topics.MERGE_SUBMIT,
+            bus.port(Topics.MERGE_SUBMIT).emit(
                 group=group.group_id,
                 workflow=self.workflow.label,
                 files=len(group.inputs),
@@ -321,8 +320,7 @@ class MergeManager:
             # resolved.  Storing again would overwrite the committed
             # merged file, so drop it.
             if bus:
-                bus.publish(
-                    Topics.TASK_DUPLICATE,
+                bus.port(Topics.TASK_DUPLICATE).emit(
                     task_id=result.task.task_id,
                     category="merge",
                     source="merge",
@@ -332,8 +330,9 @@ class MergeManager:
             return None
         del self.in_flight[group.group_id]
         if bus:
-            bus.publish(
-                Topics.MERGE_DONE if result.succeeded else Topics.MERGE_RETRY,
+            bus.port(
+                Topics.MERGE_DONE if result.succeeded else Topics.MERGE_RETRY
+            ).emit(
                 group=group.group_id,
                 workflow=self.workflow.label,
                 ok=result.succeeded,
@@ -417,8 +416,7 @@ class MergeManager:
             self.db.ledger_commit_merged(merged.name, finished, children)
         bus = self.services.env.bus
         if bus:
-            bus.publish(
-                Topics.INTEGRITY_COMMIT,
+            bus.port(Topics.INTEGRITY_COMMIT).emit(
                 name=merged.name,
                 workflow=self.workflow.label,
                 kind="merge",

@@ -116,8 +116,7 @@ class Publisher:
             # tracing on it becomes a span under the run root.
             from ..desim.bus import Topics
 
-            bus.publish(
-                Topics.PUBLISH_DATASET,
+            bus.port(Topics.PUBLISH_DATASET).emit(
                 workflow=workflow,
                 dataset=name,
                 files=record.n_files,

@@ -380,17 +380,13 @@ class Wrapper:
             return
         self.fallback_active = True
         self.fallback_at = env.now
-        bus = env.bus
-        if bus:
-            # Rare event: build the payload lazily, only if wanted.
-            bus.publish_lazy(
-                Topics.RECOVERY_FALLBACK,
-                lambda: dict(
-                    workflow=self.workflow.label,
-                    failures=self.stream_failures,
-                    frm=DataAccess.XROOTD,
-                    to=DataAccess.CHIRP,
-                ),
+        port = env.bus.port(Topics.RECOVERY_FALLBACK)
+        if port:
+            port.emit(
+                workflow=self.workflow.label,
+                failures=self.stream_failures,
+                frm=DataAccess.XROOTD,
+                to=DataAccess.CHIRP,
             )
 
 

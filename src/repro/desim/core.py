@@ -128,18 +128,14 @@ class Environment:
     boolean check per event.
     """
 
-    def __init__(self, initial_time: float = 0.0, bus: Optional[EventBus] = None):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = count()
         self._active_proc: Optional[Process] = None
         #: The structured event spine every layer publishes to.
-        self.bus = bus if bus is not None else EventBus(self)
-        if self.bus.env is None:
-            self.bus.env = self
-            # Ports compiled while the bus was env-less stamp time 0.0;
-            # recompile them against this environment's clock.
-            self.bus._changed()
+        self.bus = EventBus(self)
+        self._step_port = self.bus.port(Topics.KERNEL_STEP)
         #: Attach point for a :class:`repro.monitor.tracing.SpanTracer`;
         #: substrate layers reach it duck-typed (never importing monitor).
         self.spans = None
@@ -156,7 +152,7 @@ class Environment:
     def _refresh_instrumentation(self) -> None:
         was_subscribed = getattr(self, "_kernel_subscribed", False)
         # Cached: while set, run() takes step(), which batches kernel.step.
-        self._kernel_subscribed = self.bus.has_subscribers(Topics.KERNEL_STEP)
+        self._kernel_subscribed = self._step_port.on
         if was_subscribed and not self._kernel_subscribed:
             # The last kernel.step subscriber left: flush what it is
             # still owed before the fast loop takes over.
@@ -183,9 +179,9 @@ class Environment:
             return
         self._step_batch = {}
         t = self._step_batch_time
-        publish = self.bus.publish
+        emit_at = self._step_port.emit_at
         for kind, (n, queued) in batch.items():
-            publish(Topics.KERNEL_STEP, _time=t, kind=kind, queued=queued, count=n)
+            emit_at(t, kind=kind, queued=queued, count=n)
 
     # -- clock ------------------------------------------------------------
     @property

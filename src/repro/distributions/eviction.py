@@ -59,10 +59,6 @@ class EvictionModel:
         """P(evicted within [age, age+bin_width) | alive at age)."""
         raise NotImplementedError
 
-    def mean_survival(self, rng: np.random.Generator, n: int = 100_000) -> float:
-        """Monte-Carlo estimate of the mean survival time."""
-        return float(np.mean(self.sample_survival(rng, n)))
-
 
 class NoEviction(EvictionModel):
     """Workers are never evicted (dedicated-cluster baseline)."""

@@ -9,7 +9,6 @@ from .collector import BusCollector, replay
 from .context import CMS_2015_RESOURCES, ContextStatement, contextualize
 from .dash import render_dashboard, write_dashboard
 from .export import (
-    CsvSink,
     JsonlSink,
     export_run,
     load_events,
@@ -69,7 +68,6 @@ __all__ = [
     "BusCollector",
     "replay",
     "JsonlSink",
-    "CsvSink",
     "load_events",
     "TraceContext",
     "Span",

@@ -103,6 +103,9 @@ class SegmentDigest:
     LO = 1e-3
     HI = 1e6
     BINS = 54  # six per decade across nine decades
+    #: Bin-index terms of :meth:`add`, computed once.
+    _LOG_LO = np.log10(LO)
+    _SPAN = BINS / (np.log10(HI) - np.log10(LO))
 
     __slots__ = ("counts", "n", "total", "min", "max")
 
@@ -134,8 +137,7 @@ class SegmentDigest:
         elif x >= self.HI:
             self.counts[-1] += 1
         else:
-            span = self.BINS / (np.log10(self.HI) - np.log10(self.LO))
-            i = int((np.log10(x) - np.log10(self.LO)) * span)
+            i = int((np.log10(x) - self._LOG_LO) * self._SPAN)
             self.counts[1 + min(i, self.BINS - 1)] += 1
 
     @property

@@ -21,7 +21,6 @@ __all__ = [
     "export_run",
     "load_task_records",
     "JsonlSink",
-    "CsvSink",
     "load_events",
 ]
 
@@ -140,49 +139,11 @@ class JsonlSink:
         self._fh.write("\n")
         self.count += 1
 
-    # Also usable as a sink object with an explicit handler.
-    on_event = __call__
-
     def close(self) -> None:
         if not self._fh.closed:
             self._fh.close()
 
     def __enter__(self) -> "JsonlSink":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class CsvSink:
-    """Bus sink writing ``time,topic,fields`` rows (fields as JSON)."""
-
-    def __init__(self, path: str):
-        self.path = path
-        self._fh = open(path, "w", newline="")
-        self._writer = csv.writer(self._fh)
-        self._writer.writerow(["t", "topic", "fields"])
-        self.count = 0
-
-    def __call__(self, event: BusEvent) -> None:
-        if self._fh.closed:
-            return  # stragglers may publish while the run winds down
-        self._writer.writerow(
-            [
-                repr(event.time),
-                event.topic,
-                json.dumps(event.fields, separators=(",", ":")),
-            ]
-        )
-        self.count += 1
-
-    on_event = __call__
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.close()
-
-    def __enter__(self) -> "CsvSink":
         return self
 
     def __exit__(self, *exc) -> None:

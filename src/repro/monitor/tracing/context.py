@@ -76,10 +76,6 @@ class Span:
         return TraceContext(self.trace_id, self.span_id)
 
     @property
-    def is_open(self) -> bool:
-        return self.end is None
-
-    @property
     def duration(self) -> float:
         return (self.end if self.end is not None else self.start) - self.start
 

@@ -67,6 +67,8 @@ class SpanTracer:
         self._extent: Dict[str, float] = {}
         self._ids = count(1)
         self.finalized = False
+        self._span_start = env.bus.port(Topics.SPAN_START)
+        self._span_end = env.bus.port(Topics.SPAN_END)
         self._subs = []
         if subscribe:
             bus = env.bus
@@ -120,8 +122,8 @@ class SpanTracer:
             proc = self.env._active_proc
             if proc is not None:
                 proc.span_ctx = span.ctx
-        bus = self.env.bus
-        if bus:
+        port = self._span_start
+        if port:
             fields = dict(
                 span=span_id, trace=trace_id, parent=parent_id, name=name
             )
@@ -130,7 +132,7 @@ class SpanTracer:
             if links:
                 fields["links"] = list(links)
             fields.update(span.attrs)
-            bus.publish(Topics.SPAN_START, **fields)
+            port.emit(**fields)
         return span
 
     def end(self, span: Span, status: str = "ok", at: Optional[float] = None, **attrs) -> None:
@@ -160,8 +162,8 @@ class SpanTracer:
         prev = self._extent.get(span.trace_id)
         if prev is None or span.end > prev:
             self._extent[span.trace_id] = span.end
-        bus = self.env.bus
-        if bus:
+        port = self._span_end
+        if port:
             fields = dict(span=span.span_id, status=status)
             if at is not None:
                 fields["end"] = span.end
@@ -170,7 +172,7 @@ class SpanTracer:
             # fault markers, backoff) must survive an offline replay.
             if span.attrs:
                 fields.update(span.attrs)
-            bus.publish(Topics.SPAN_END, **fields)
+            port.emit(**fields)
 
     def _open_descendants(self, root_id: int) -> List[Span]:
         """Open spans below *root_id*, deepest first."""
@@ -208,11 +210,11 @@ class SpanTracer:
             self._roots[trace_id] = root
             self._open[span_id] = root
             self._parent[span_id] = None
-            bus = self.env.bus
-            if bus:
+            port = self._span_start
+            if port:
                 fields = dict(span=span_id, trace=trace_id, parent=None, name=name)
                 fields.update(attrs)
-                bus.publish(Topics.SPAN_START, **fields)
+                port.emit(**fields)
         return root
 
     def attempt(self, trace: TraceContext, **attrs) -> Span:

@@ -567,7 +567,7 @@ class RunWatcher:
         self._collector = BusCollector(bus, self.engine)
 
     def _publish(self, t: float, topic: str, fields: dict) -> None:
-        self.bus.publish(topic, _time=t, **fields)
+        self.bus.port(topic).emit_at(t, **fields)
 
     def _sample_bus(self, window: int, t: float) -> None:
         stats = self.bus.stats()

@@ -362,9 +362,6 @@ class Fabric:
     def uplink(self, node: str) -> Optional[Link]:
         return self._nodes[node][1]
 
-    def has_path(self, a: str, b: str) -> bool:
-        return a in self._nodes and b in self._nodes
-
     def route(self, src: str, dst: str) -> Tuple[Link, ...]:
         """The unique tree path between two nodes, as a link tuple."""
         key = (src, dst)

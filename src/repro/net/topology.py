@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fabric import Fabric, Link
+from .fabric import Fabric
 
 __all__ = ["TopologySpec", "rack_for"]
 
@@ -70,8 +70,3 @@ def rack_for(
     if not fabric.has_node(rack):
         fabric.attach(f"{rack}.trunk", trunk_bandwidth, node=rack)
     return rack
-
-
-def wan_link(fabric: Fabric) -> Link:
-    """The campus→world uplink of *fabric*, if attached."""
-    return fabric.uplink("world") if fabric.has_node("world") else None

@@ -135,21 +135,17 @@ class StorageElement:
         actual = self._content.get(name, f.checksum)
         if actual != f.checksum:
             self.corruptions_detected += 1
-            bus = self.env.bus if self.env is not None else None
-            if bus:
+            if self.env is not None:
                 from ..desim.bus import Topics
 
-                # Lazy publish: the payload dict is only built when a
-                # subscriber (or the ring) actually wants integrity.*.
-                bus.publish_lazy(
-                    Topics.INTEGRITY_CORRUPT,
-                    lambda: dict(
+                port = self.env.bus.port(Topics.INTEGRITY_CORRUPT)
+                if port:
+                    port.emit(
                         name=name,
                         expected=f.checksum,
                         actual=actual,
                         where=self.name,
-                    ),
-                )
+                    )
             raise IntegrityError(name, f.checksum, actual, where=self.name)
         return f
 

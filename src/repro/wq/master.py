@@ -150,10 +150,6 @@ class Master:
     def ready_count(self) -> int:
         return len(self.ready)
 
-    @property
-    def draining(self) -> bool:
-        return self.drain_event.triggered
-
     def drain(self) -> None:
         """Signal end of workload; idle workers shut down cleanly."""
         if not self.drain_event.triggered:

@@ -61,20 +61,15 @@ def ship(
             b.cancel()
             raise
     if expect_digest and payload_digest and payload_digest != expect_digest:
-        bus = env.bus
-        if bus:
-            from ..desim.bus import Topics
+        from ..desim.bus import Topics
 
-            # Lazy publish: the corrupt-hop payload is only built when
-            # a subscriber (or the ring) actually wants integrity.*.
-            bus.publish_lazy(
-                Topics.INTEGRITY_CORRUPT,
-                lambda: dict(
-                    name=name,
-                    expected=expect_digest,
-                    actual=payload_digest,
-                    where="wq-transfer",
-                ),
+        port = env.bus.port(Topics.INTEGRITY_CORRUPT)
+        if port:
+            port.emit(
+                name=name,
+                expected=expect_digest,
+                actual=payload_digest,
+                where="wq-transfer",
             )
         raise IntegrityError(name, expect_digest, payload_digest, where="wq-transfer")
     return env.now - start

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.desim import Environment, EventBus, MemorySink, Topics
+from repro.desim import Environment, MemorySink, Topics
 from repro.desim.bus import _matches
 
 
@@ -21,7 +21,7 @@ def test_pattern_matching():
 
 
 def test_empty_pattern_rejected():
-    bus = EventBus()
+    bus = Environment().bus
     with pytest.raises(ValueError):
         bus.subscribe("", lambda e: None)
 
@@ -30,14 +30,14 @@ def test_empty_pattern_rejected():
 # idle / active semantics
 # ---------------------------------------------------------------------------
 def test_idle_bus_is_falsy_and_counts_nothing():
-    bus = EventBus()
+    bus = Environment().bus
     assert not bus
-    bus.publish("task.done", task_id=1)
+    bus.port("task.done").emit(task_id=1)
     assert bus.published == 0 and bus.delivered == 0
 
 
 def test_subscription_activates_and_cancel_deactivates():
-    bus = EventBus()
+    bus = Environment().bus
     sub = bus.subscribe("task.*", lambda e: None)
     assert bus
     sub.cancel()
@@ -47,13 +47,13 @@ def test_subscription_activates_and_cancel_deactivates():
 
 
 def test_publish_with_unmatched_topic_is_not_delivered():
-    bus = EventBus()
+    bus = Environment().bus
     seen = []
     bus.subscribe("cache.*", seen.append)
-    bus.publish("task.done", task_id=1)
-    bus.publish("cache.miss", cache="c0")
+    bus.port("task.done").emit(task_id=1)
+    bus.port("cache.miss").emit(cache="c0")
     assert [e.topic for e in seen] == ["cache.miss"]
-    # The unmatched publish is not even counted as published.
+    # The unmatched emit is not even counted as published.
     assert bus.published == 1
 
 
@@ -61,20 +61,20 @@ def test_publish_with_unmatched_topic_is_not_delivered():
 # filtering and delivery
 # ---------------------------------------------------------------------------
 def test_subscription_filtering_and_order():
-    bus = EventBus()
+    bus = Environment().bus
     order = []
     bus.subscribe("*", lambda e: order.append(("star", e.topic)))
     bus.subscribe("task.done", lambda e: order.append(("exact", e.topic)))
-    bus.publish("task.done", _time=1.0, task_id=7)
+    bus.port("task.done").emit_at(1.0, task_id=7)
     assert order == [("star", "task.done"), ("exact", "task.done")]
     assert bus.delivered == 2
 
 
 def test_event_fields_and_as_dict_order():
-    bus = EventBus()
+    bus = Environment().bus
     sink = MemorySink()
     bus.attach(sink)
-    bus.publish("task.done", _time=2.5, task_id=3, ok=True)
+    bus.port("task.done").emit_at(2.5, task_id=3, ok=True)
     (event,) = sink.events
     assert event.time == 2.5
     assert event.fields == {"task_id": 3, "ok": True}
@@ -92,16 +92,16 @@ def test_environment_clock_stamps_events():
 
 def _pub_after(env, delay):
     yield env.timeout(delay)
-    env.bus.publish(Topics.TASK_DONE, task_id=1)
+    env.bus.port(Topics.TASK_DONE).emit(task_id=1)
 
 
 def test_cache_invalidation_on_subscription_change():
-    bus = EventBus()
+    bus = Environment().bus
     first, second = [], []
     bus.subscribe("task.done", first.append)
-    bus.publish("task.done", _time=0.0, n=1)  # caches the callback tuple
+    bus.port("task.done").emit_at(0.0, n=1)  # caches the callback tuple
     bus.subscribe("task.*", second.append)
-    bus.publish("task.done", _time=0.0, n=2)
+    bus.port("task.done").emit_at(0.0, n=2)
     assert len(first) == 2 and len(second) == 1
 
 
@@ -110,60 +110,60 @@ def test_cache_invalidation_on_subscription_change():
 #
 # The per-topic callback cache must be invalidated on every subscription
 # change; a stale cache would silently drop events for subscribers added
-# after the first publish on a topic.  These tests pin down the correct
+# after the first emit on a topic.  These tests pin down the correct
 # behavior for each subscription shape.
 # ---------------------------------------------------------------------------
 def test_late_exact_subscriber_sees_subsequent_events():
-    bus = EventBus()
+    bus = Environment().bus
     early, late = [], []
     bus.subscribe("task.done", early.append)
     for _ in range(3):
-        bus.publish("task.done", _time=0.0)  # topic cache now warm
+        bus.port("task.done").emit_at(0.0)  # topic cache now warm
     bus.subscribe("task.done", late.append)
-    bus.publish("task.done", _time=1.0)
+    bus.port("task.done").emit_at(1.0)
     assert len(early) == 4
     assert len(late) == 1  # not starved by the pre-warmed cache
 
 
 def test_late_prefix_subscriber_sees_subsequent_events():
-    bus = EventBus()
+    bus = Environment().bus
     early, late = [], []
     bus.subscribe("task.done", early.append)
-    bus.publish("task.done", _time=0.0)
+    bus.port("task.done").emit_at(0.0)
     bus.subscribe("task.*", late.append)
-    bus.publish("task.done", _time=1.0)
-    bus.publish("task.requeue", _time=2.0)
+    bus.port("task.done").emit_at(1.0)
+    bus.port("task.requeue").emit_at(2.0)
     assert len(early) == 2
     assert [e.topic for e in late] == ["task.done", "task.requeue"]
 
 
 def test_late_wildcard_subscriber_sees_all_warm_topics():
-    bus = EventBus()
+    bus = Environment().bus
     seen = []
     bus.subscribe("task.done", lambda e: None)
     bus.subscribe("cache.miss", lambda e: None)
-    bus.publish("task.done", _time=0.0)  # warm both topic caches
-    bus.publish("cache.miss", _time=0.0)
+    bus.port("task.done").emit_at(0.0)  # warm both topic caches
+    bus.port("cache.miss").emit_at(0.0)
     bus.subscribe("*", seen.append)
-    bus.publish("task.done", _time=1.0)
-    bus.publish("cache.miss", _time=1.0)
+    bus.port("task.done").emit_at(1.0)
+    bus.port("cache.miss").emit_at(1.0)
     assert [e.topic for e in seen] == ["task.done", "cache.miss"]
 
 
 def test_resubscribe_after_cancel_is_delivered():
-    bus = EventBus()
+    bus = Environment().bus
     seen = []
     sub = bus.subscribe("task.done", seen.append)
-    bus.publish("task.done", _time=0.0)
+    bus.port("task.done").emit_at(0.0)
     sub.cancel()
-    bus.publish("task.done", _time=1.0)  # cancelled: not delivered
+    bus.port("task.done").emit_at(1.0)  # cancelled: not delivered
     bus.subscribe("task.done", seen.append)
-    bus.publish("task.done", _time=2.0)
+    bus.port("task.done").emit_at(2.0)
     assert [e.time for e in seen] == [0.0, 2.0]
 
 
 def test_subscribe_from_inside_handler_sees_next_publish():
-    bus = EventBus()
+    bus = Environment().bus
     late = []
     subscribed = []
 
@@ -172,46 +172,20 @@ def test_subscribe_from_inside_handler_sees_next_publish():
             subscribed.append(bus.subscribe("task.done", late.append))
 
     bus.subscribe("task.done", handler)
-    bus.publish("task.done", _time=0.0)  # subscribes `late` mid-delivery
-    bus.publish("task.done", _time=1.0)
+    bus.port("task.done").emit_at(0.0)  # subscribes `late` mid-delivery
+    bus.port("task.done").emit_at(1.0)
     assert [e.time for e in late] == [1.0]  # live for the next event
-
-
-# ---------------------------------------------------------------------------
-# ring buffer retention
-# ---------------------------------------------------------------------------
-def test_ring_buffer_is_bounded_and_activates_bus():
-    bus = EventBus(ring_size=3)
-    assert bus  # ring alone makes the bus active
-    for i in range(10):
-        bus.publish("task.done", _time=float(i), n=i)
-    assert [e.fields["n"] for e in bus.ring] == [7, 8, 9]
-    assert bus.published == 10
-
-
-def test_ring_size_must_be_non_negative():
-    with pytest.raises(ValueError):
-        EventBus(ring_size=-1)
-
-
-def test_wants_vs_has_subscribers():
-    bus = EventBus(ring_size=4)
-    assert bus.wants("anything")  # the ring sees everything
-    assert not bus.has_subscribers("anything")
-    bus.subscribe("task.*", lambda e: None)
-    assert bus.has_subscribers("task.done")
-    assert not bus.has_subscribers("cache.miss")
 
 
 # ---------------------------------------------------------------------------
 # sinks
 # ---------------------------------------------------------------------------
 def test_memory_sink_helpers():
-    bus = EventBus()
+    bus = Environment().bus
     sink = MemorySink()
     bus.attach(sink)
-    bus.publish("task.done", _time=0.0, n=1)
-    bus.publish("cache.miss", _time=0.0, n=2)
+    bus.port("task.done").emit_at(0.0, n=1)
+    bus.port("cache.miss").emit_at(0.0, n=2)
     assert sink.topics() == ["task.done", "cache.miss"]
     assert len(sink.of("cache.miss")) == 1
     assert len(sink) == 2
@@ -219,28 +193,12 @@ def test_memory_sink_helpers():
     assert len(sink) == 0
 
 
-def test_attach_object_with_on_event():
-    class Sink:
-        def __init__(self):
-            self.n = 0
-
-        def on_event(self, event):
-            self.n += 1
-
-    bus = EventBus()
-    sink = Sink()
-    bus.attach(sink, pattern="task.*")
-    bus.publish("task.done", _time=0.0)
-    bus.publish("cache.miss", _time=0.0)
-    assert sink.n == 1
-
-
 # ---------------------------------------------------------------------------
 # kernel.step integration
 # ---------------------------------------------------------------------------
 def test_kernel_step_events_only_when_subscribed():
     env = Environment()
-    # No subscriber: the kernel publishes nothing.
+    # No subscriber: the kernel emits nothing.
     env.process(_ticks(env, 3))
     env.run()
     assert env.bus.published == 0

@@ -1,10 +1,9 @@
 """Tests for the hot-path event protocol (DESIGN.md §12).
 
-Covers the per-topic :class:`TopicPort` fast path, lazy publication
-(``publish_lazy`` / ``emit_lazy``), raw (record-dict) subscriptions,
-the never-matches subscription warning, kernel.step compaction counts,
-fabric flush-batch consumer equivalence, and the streaming span
-builder's parity with the buffered replay.
+Covers the per-topic :class:`TopicPort` fast path, raw (record-dict)
+subscriptions, the never-matches subscription warning, kernel.step
+compaction counts, fabric flush-batch consumer equivalence, and the
+streaming span builder's parity with the buffered replay.
 """
 
 import json
@@ -12,7 +11,7 @@ import warnings
 
 import pytest
 
-from repro.desim import Environment, EventBus, Topics
+from repro.desim import Environment, Topics
 from repro.desim.bus import BusEvent, make_event
 from repro.monitor import BusCollector, RunMetrics, replay
 from repro.monitor.tracing import SpanStreamBuilder
@@ -24,7 +23,7 @@ Topics.register("bench.tick", "bench.other")
 # TopicPort semantics
 # ---------------------------------------------------------------------------
 def test_port_is_falsy_with_no_observers():
-    bus = EventBus()
+    bus = Environment().bus
     port = bus.port("task.done")
     assert not port and not port.on
     # Emitting into a dead port is a cheap no-op.
@@ -32,7 +31,7 @@ def test_port_is_falsy_with_no_observers():
 
 
 def test_port_truthy_with_subscriber_and_delivers():
-    bus = EventBus()
+    bus = Environment().bus
     seen = []
     bus.subscribe("task.done", seen.append)
     port = bus.port("task.done")
@@ -42,16 +41,8 @@ def test_port_truthy_with_subscriber_and_delivers():
     assert seen[0].topic == "task.done" and seen[0].fields == {"task_id": 7}
 
 
-def test_port_truthy_with_ring_only():
-    bus = EventBus(ring_size=4)
-    port = bus.port("task.done")
-    assert port.on
-    port.emit(task_id=1)
-    assert len(bus.ring) == 1 and bus.ring[0].topic == "task.done"
-
-
 def test_port_refreshes_on_late_subscribe_and_unsubscribe():
-    bus = EventBus()
+    bus = Environment().bus
     port = bus.port("task.done")
     assert not port.on
     seen = []
@@ -65,13 +56,13 @@ def test_port_refreshes_on_late_subscribe_and_unsubscribe():
 
 
 def test_port_is_shared_per_topic():
-    bus = EventBus()
+    bus = Environment().bus
     assert bus.port("task.done") is bus.port("task.done")
 
 
 def test_port_delivery_order_is_subscription_order():
     """Exact, prefix, and wildcard subscribers interleave by seq."""
-    bus = EventBus()
+    bus = Environment().bus
     order = []
     bus.subscribe("task.done", lambda e: order.append("exact1"))
     bus.subscribe("*", lambda e: order.append("wild"))
@@ -97,7 +88,7 @@ def test_port_env_clock_stamping():
 
 
 def test_port_emit_at_overrides_time():
-    bus = EventBus()
+    bus = Environment().bus
     seen = []
     bus.subscribe("task.done", seen.append)
     bus.port("task.done").emit_at(42.0, task_id=1)
@@ -123,7 +114,7 @@ def test_raw_subscriber_receives_record_dict():
 
 
 def test_raw_subscription_requires_exact_topic():
-    bus = EventBus()
+    bus = Environment().bus
     with pytest.raises(ValueError):
         bus.subscribe("task.*", lambda r: None, raw=True)
     with pytest.raises(ValueError):
@@ -132,7 +123,7 @@ def test_raw_subscription_requires_exact_topic():
 
 def test_mixed_raw_and_classic_subscribers_do_not_share_the_dict():
     """The "t" stamp must never leak into a classic event's fields."""
-    bus = EventBus()
+    bus = Environment().bus
     raw_seen, classic_seen = [], []
     bus.subscribe("task.done", raw_seen.append, raw=True)
     bus.subscribe("task.done", classic_seen.append)
@@ -142,17 +133,9 @@ def test_mixed_raw_and_classic_subscribers_do_not_share_the_dict():
     assert raw_seen[0] is not classic_seen[0].fields
 
 
-def test_raw_subscriber_via_legacy_publish():
-    bus = EventBus()
-    seen = []
-    bus.subscribe("task.done", seen.append, raw=True)
-    bus.publish("task.done", _time=2.5, task_id=4)
-    assert seen == [{"task_id": 4, "t": 2.5}]
-
-
 def test_raw_only_delivery_materialises_no_event(monkeypatch):
-    """With only raw subscribers and no ring, no BusEvent is built."""
-    bus = EventBus()
+    """With only raw subscribers, no BusEvent is built."""
+    bus = Environment().bus
     bus.subscribe("task.done", lambda r: None, raw=True)
     port = bus.port("task.done")
 
@@ -161,75 +144,14 @@ def test_raw_only_delivery_materialises_no_event(monkeypatch):
 
     monkeypatch.setattr(BusEvent, "__new__", boom)
     port.emit(task_id=1)
-    bus.publish("task.done", task_id=2)
-
-
-# ---------------------------------------------------------------------------
-# lazy publication
-# ---------------------------------------------------------------------------
-def test_publish_lazy_never_calls_thunk_when_unmatched():
-    bus = EventBus()
-    bus.subscribe("cache.*", lambda e: None)
-    calls = []
-    bus.publish_lazy("task.done", lambda: calls.append(1) or {"task_id": 1})
-    assert calls == []
-
-
-def test_publish_lazy_calls_thunk_once_per_delivery():
-    bus = EventBus()
-    seen = []
-    bus.subscribe("task.done", seen.append)
-    bus.subscribe("task.*", seen.append)
-    calls = []
-    bus.publish_lazy("task.done", lambda: calls.append(1) or {"task_id": 1})
-    assert len(calls) == 1  # one payload, two deliveries
-    assert len(seen) == 2
-    assert seen[0] is seen[1]  # same event object fans out
-
-
-def test_publish_lazy_skipped_on_idle_bus():
-    bus = EventBus()
-    calls = []
-    bus.publish_lazy("task.done", lambda: calls.append(1) or {})
-    assert calls == []
-
-
-def test_port_emit_lazy_thunk_semantics():
-    bus = EventBus()
-    port = bus.port("task.done")
-    calls = []
-    port.emit_lazy(lambda: calls.append(1) or {"task_id": 1})
-    assert calls == []  # dead port: thunk never runs
-    seen = []
-    bus.subscribe("task.done", seen.append)
-    port.emit_lazy(lambda: calls.append(1) or {"task_id": 1})
-    assert len(calls) == 1 and seen[0].fields == {"task_id": 1}
-
-
-def test_eager_and_lazy_publish_produce_identical_jsonl():
-    def run(lazy):
-        bus = EventBus()
-        seen = []
-        bus.subscribe("task.done", seen.append)
-        for i in range(5):
-            if lazy:
-                bus.publish_lazy(
-                    "task.done",
-                    lambda i=i: dict(task_id=i, exit_code=0),
-                    _time=float(i),
-                )
-            else:
-                bus.publish("task.done", _time=float(i), task_id=i, exit_code=0)
-        return "\n".join(json.dumps(e.as_dict(), sort_keys=False) for e in seen)
-
-    assert run(lazy=False) == run(lazy=True)
+    port.emit_at(2.0, task_id=2)
 
 
 # ---------------------------------------------------------------------------
 # never-matches subscription warning
 # ---------------------------------------------------------------------------
 def test_unmatchable_pattern_warns_once():
-    bus = EventBus()
+    bus = Environment().bus
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         bus.subscribe("tsak.done", lambda e: None)  # typo'd topic
@@ -240,7 +162,7 @@ def test_unmatchable_pattern_warns_once():
 
 
 def test_unmatchable_prefix_pattern_warns():
-    bus = EventBus()
+    bus = Environment().bus
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         bus.subscribe("tsak.*", lambda e: None)
@@ -248,7 +170,7 @@ def test_unmatchable_prefix_pattern_warns():
 
 
 def test_known_topic_patterns_do_not_warn():
-    bus = EventBus()
+    bus = Environment().bus
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         bus.subscribe(Topics.TASK_DONE, lambda e: None)
@@ -258,7 +180,7 @@ def test_known_topic_patterns_do_not_warn():
 
 
 def test_registered_ad_hoc_topic_does_not_warn():
-    bus = EventBus()
+    bus = Environment().bus
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         bus.subscribe("bench.tick", lambda e: None)  # registered at import
@@ -326,11 +248,11 @@ def test_replay_expands_flow_batches():
 
 
 def test_live_collector_expands_flow_batches_like_replay():
-    bus = EventBus()
+    bus = Environment().bus
     live = RunMetrics()
     BusCollector(bus, live)
     for e in _flow_batch_events():
-        bus.publish(e.topic, _time=e.time, **e.fields)
+        bus.port(e.topic).emit_at(e.time, **e.fields)
     replayed = RunMetrics()
     replay((e.as_dict() for e in _flow_batch_events()), replayed)
     assert [
@@ -428,7 +350,7 @@ def test_span_stream_builder_matches_buffered_replay():
 # port / raw emit accounting (bus.published / bus.delivered / bus.stats)
 # ---------------------------------------------------------------------------
 def test_port_emits_count_as_published_and_delivered():
-    bus = EventBus()
+    bus = Environment().bus
     seen = []
     bus.subscribe("task.done", seen.append)
     port = bus.port("task.done")
@@ -440,7 +362,7 @@ def test_port_emits_count_as_published_and_delivered():
 
 
 def test_port_fanout_multiplies_delivered():
-    bus = EventBus()
+    bus = Environment().bus
     bus.subscribe("task.done", lambda e: None)
     bus.subscribe("task.*", lambda e: None)
     port = bus.port("task.done")
@@ -451,7 +373,7 @@ def test_port_fanout_multiplies_delivered():
 
 
 def test_raw_only_emits_are_counted():
-    bus = EventBus()
+    bus = Environment().bus
     records = []
     bus.subscribe("net.flow", records.append, raw=True)
     port = bus.port("net.flow")
@@ -463,7 +385,7 @@ def test_raw_only_emits_are_counted():
 
 
 def test_mixed_raw_and_classic_fanout_accounting():
-    bus = EventBus()
+    bus = Environment().bus
     bus.subscribe("net.flow", lambda e: None)
     bus.subscribe("net.flow", lambda r: None, raw=True)
     port = bus.port("net.flow")
@@ -474,7 +396,7 @@ def test_mixed_raw_and_classic_fanout_accounting():
 
 def test_dead_port_emits_stay_uncounted():
     """The zero-subscriber fast path must remain accounting-free."""
-    bus = EventBus()
+    bus = Environment().bus
     port = bus.port("task.done")
     for i in range(100):
         port.emit(task_id=i)
@@ -484,7 +406,7 @@ def test_dead_port_emits_stay_uncounted():
 def test_port_counts_survive_refresh_flush():
     """Tallies flushed on a subscription change must not be lost, and
     pre-flush emits keep their pre-change fan-out."""
-    bus = EventBus()
+    bus = Environment().bus
     bus.subscribe("task.done", lambda e: None)
     port = bus.port("task.done")
     port.emit(task_id=1)  # fan-out 1
@@ -495,7 +417,7 @@ def test_port_counts_survive_refresh_flush():
 
 
 def test_emit_at_is_counted():
-    bus = EventBus()
+    bus = Environment().bus
     seen = []
     bus.subscribe("task.done", seen.append)
     port = bus.port("task.done")
@@ -504,38 +426,18 @@ def test_emit_at_is_counted():
     assert bus.published == 1 and bus.delivered == 1
 
 
-def test_legacy_publish_and_port_emit_share_counters():
-    bus = EventBus()
-    bus.subscribe("task.done", lambda e: None)
-    port = bus.port("task.done")
-    bus.publish("task.done", task_id=1)
-    port.emit(task_id=2)
-    assert bus.published == 2
-    assert bus.delivered == 2
-
-
 def test_bus_stats_snapshot():
-    bus = EventBus(ring_size=4)
+    bus = Environment().bus
     bus.subscribe("task.done", lambda e: None)
     bus.subscribe("net.flow", lambda r: None, raw=True)
     port = bus.port("task.done")
     port.emit(task_id=1)
-    bus.publish("net.flow", nbytes=5.0)
+    bus.port("net.flow").emit_at(3.0, nbytes=5.0)
     s = bus.stats()
     assert s["published"] == 2
     assert s["delivered"] == 2
     assert s["subscriptions"] == 2
-    assert s["ports"] == 1
-    assert s["ring"] == 2
+    # task.done, net.flow and the kernel's own kernel.step port.
+    assert s["ports"] == 3
     # The snapshot is a plain dict (JSON-serialisable telemetry).
     json.dumps(s)
-
-
-def test_lazy_emit_is_counted_when_delivered():
-    bus = EventBus()
-    seen = []
-    bus.subscribe("task.done", seen.append)
-    port = bus.port("task.done")
-    port.emit_lazy(lambda: {"task_id": 9})
-    assert len(seen) == 1
-    assert bus.published == 1 and bus.delivered == 1

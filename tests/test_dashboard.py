@@ -14,7 +14,7 @@ import re
 import pytest
 
 from repro.cli import main
-from repro.desim import Environment, EventBus, Topics
+from repro.desim import Environment, Topics
 from repro.monitor import (
     BusCollector,
     RunMetrics,
@@ -234,7 +234,7 @@ def test_cli_dash_replay_missing_file_exits():
 def test_telemetry_panel_reports_true_bus_totals():
     """The dashboard's bus figures must include port/raw emits (the
     fast paths legacy counters used to miss)."""
-    bus = EventBus()
+    bus = Environment().bus
     metrics = RunMetrics()
     BusCollector(bus, metrics)  # subscribes the full monitoring topic set
     port = bus.port(Topics.TASK_START)

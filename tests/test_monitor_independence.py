@@ -82,15 +82,14 @@ def test_monitor_importable_without_substrate_layers():
 def test_collector_feeds_metrics_from_bus_events():
     """End-to-end inversion check: publishing the scheduler's topics onto
     a bare bus (no scheduler imported) populates RunMetrics."""
-    from repro.desim import EventBus, Topics
+    from repro.desim import Environment, Topics
     from repro.monitor import BusCollector, RunMetrics
 
-    bus = EventBus()
+    bus = Environment().bus
     collector = BusCollector(bus, RunMetrics())
-    bus.publish(Topics.TASK_START, _time=1.0, running=1)
-    bus.publish(
-        Topics.TASK_RESULT,
-        _time=9.0,
+    bus.port(Topics.TASK_START).emit_at(1.0, running=1)
+    bus.port(Topics.TASK_RESULT).emit_at(
+        9.0,
         workflow="wf",
         task_id=1,
         category="analysis",
@@ -104,8 +103,8 @@ def test_collector_feeds_metrics_from_bus_events():
         lost_time=0.0,
         output_bytes=1e6,
     )
-    bus.publish(Topics.TASK_DONE, _time=9.0, task_id=1, ok=True, running=0)
-    bus.publish(Topics.EVICTION, _time=10.0, slot="slot0")
+    bus.port(Topics.TASK_DONE).emit_at(9.0, task_id=1, ok=True, running=0)
+    bus.port(Topics.EVICTION).emit_at(10.0, slot="slot0")
 
     m = collector.fold
     assert m.n_tasks == 1 and m.n_succeeded() == 1
@@ -114,15 +113,15 @@ def test_collector_feeds_metrics_from_bus_events():
     assert m.evictions_seen == 1
 
     collector.close()
-    bus.publish(Topics.EVICTION, _time=11.0, slot="slot1")
+    bus.port(Topics.EVICTION).emit_at(11.0, slot="slot1")
     assert m.evictions_seen == 1  # detached
 
 
 def test_collector_workflow_filter():
-    from repro.desim import EventBus, Topics
+    from repro.desim import Environment, Topics
     from repro.monitor import BusCollector, RunMetrics
 
-    bus = EventBus()
+    bus = Environment().bus
     mine = BusCollector(bus, RunMetrics(), workflows=["wf-a"])
     fields = dict(
         category="analysis",
@@ -136,24 +135,23 @@ def test_collector_workflow_filter():
         lost_time=0.0,
         output_bytes=0.0,
     )
-    bus.publish(Topics.TASK_RESULT, _time=1.0, workflow="wf-a", task_id=1, **fields)
-    bus.publish(Topics.TASK_RESULT, _time=1.0, workflow="wf-b", task_id=2, **fields)
+    bus.port(Topics.TASK_RESULT).emit_at(1.0, workflow="wf-a", task_id=1, **fields)
+    bus.port(Topics.TASK_RESULT).emit_at(1.0, workflow="wf-b", task_id=2, **fields)
     assert [r.task_id for r in mine.fold.records] == [1]
 
 
 def test_replayed_metrics_round_trip_jsonl(tmp_path):
     """Record events through a JsonlSink, reload, rebuild metrics."""
-    from repro.desim import EventBus, Topics
+    from repro.desim import Environment, Topics
     from repro.monitor import JsonlSink, RunMetrics, load_events, replay
 
     path = tmp_path / "events.jsonl"
-    bus = EventBus()
+    bus = Environment().bus
     with JsonlSink(str(path)) as sink:
         bus.attach(sink)
-        bus.publish(Topics.TASK_START, _time=1.0, running=1)
-        bus.publish(
-            Topics.TASK_RESULT,
-            _time=5.0,
+        bus.port(Topics.TASK_START).emit_at(1.0, running=1)
+        bus.port(Topics.TASK_RESULT).emit_at(
+            5.0,
             workflow="wf",
             task_id=4,
             category="analysis",
@@ -182,28 +180,28 @@ def test_two_filtered_collectors_one_bus_split_attributed_events():
     own evictions, exhaustions, fallbacks, integrity events, and
     duplicates — not just its own task results.  Unattributed (legacy)
     events reach both."""
-    from repro.desim import EventBus, Topics
+    from repro.desim import Environment, Topics
     from repro.monitor import BusCollector, RunMetrics
 
-    bus = EventBus()
+    bus = Environment().bus
     a = BusCollector(bus, RunMetrics(), workflows=["wf-a"])
     b = BusCollector(bus, RunMetrics(), workflows=["wf-b"])
 
     # Single-label producers stamp ``workflow=``.
-    bus.publish(Topics.TASK_EXHAUSTED, _time=1.0, workflow="wf-a", task_id=1)
-    bus.publish(Topics.TASK_DUPLICATE, _time=2.0, workflow="wf-b", task_id=2)
-    bus.publish(Topics.RECOVERY_FALLBACK, _time=3.0, workflow="wf-a",
-                kind="stream")
-    bus.publish(Topics.INTEGRITY_CORRUPT, _time=4.0, workflow="wf-b",
-                lfn="/store/x.root")
+    bus.port(Topics.TASK_EXHAUSTED).emit_at(1.0, workflow="wf-a", task_id=1)
+    bus.port(Topics.TASK_DUPLICATE).emit_at(2.0, workflow="wf-b", task_id=2)
+    bus.port(Topics.RECOVERY_FALLBACK).emit_at(3.0, workflow="wf-a",
+                                               kind="stream")
+    bus.port(Topics.INTEGRITY_CORRUPT).emit_at(4.0, workflow="wf-b",
+                                               lfn="/store/x.root")
     # Pool-level producers stamp ``workflows=`` (a label list).
-    bus.publish(Topics.EVICTION, _time=5.0, workflows=["wf-a"], slot="s0")
-    bus.publish(Topics.EVICTION, _time=6.0, workflows=["wf-b"], slot="s1")
-    bus.publish(Topics.EVICTION, _time=7.0, workflows=["wf-a", "wf-b"],
-                slot="shared")
+    bus.port(Topics.EVICTION).emit_at(5.0, workflows=["wf-a"], slot="s0")
+    bus.port(Topics.EVICTION).emit_at(6.0, workflows=["wf-b"], slot="s1")
+    bus.port(Topics.EVICTION).emit_at(7.0, workflows=["wf-a", "wf-b"],
+                                      slot="shared")
     # Unattributed events must reach both collectors (back-compat).
-    bus.publish(Topics.EVICTION, _time=8.0, slot="legacy")
-    bus.publish(Topics.TASK_EXHAUSTED, _time=9.0, task_id=9)
+    bus.port(Topics.EVICTION).emit_at(8.0, slot="legacy")
+    bus.port(Topics.TASK_EXHAUSTED).emit_at(9.0, task_id=9)
 
     assert a.fold.tasks_exhausted == 2  # wf-a + unattributed
     assert b.fold.tasks_exhausted == 1  # unattributed only

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.desim import Environment, EventBus, Topics
+from repro.desim import Environment, Topics
 from repro.monitor import (
     BusCollector,
     JsonlSink,
@@ -473,7 +473,7 @@ def test_replayed_fold_matches_live(recorded_chaos, fold_cls):
 def test_rollup_collector_workflow_filter_matches_buscollector():
     """The one workflow filter: both folds behind a filtered collector
     accept exactly the same events, and unattributed events pass."""
-    bus = EventBus()
+    bus = Environment().bus
     exact, reference = RunMetrics(), Rollup()
     BusCollector(bus, exact, workflows=["wf-a"])
     BusCollector(bus, reference, workflows=["wf-a"])
@@ -489,14 +489,14 @@ def test_rollup_collector_workflow_filter_matches_buscollector():
         lost_time=0.0,
         output_bytes=1e6,
     )
-    bus.publish(Topics.TASK_RESULT, _time=100.0, workflow="wf-a", task_id=1,
-                **fields)
-    bus.publish(Topics.TASK_RESULT, _time=100.0, workflow="wf-b", task_id=2,
-                **fields)
-    bus.publish(Topics.EVICTION, _time=5.0, workflows=["wf-b"], slot="s")
+    bus.port(Topics.TASK_RESULT).emit_at(100.0, workflow="wf-a", task_id=1,
+                                         **fields)
+    bus.port(Topics.TASK_RESULT).emit_at(100.0, workflow="wf-b", task_id=2,
+                                         **fields)
+    bus.port(Topics.EVICTION).emit_at(5.0, workflows=["wf-b"], slot="s")
     assert exact.n_tasks == reference.n_tasks == 1
     assert exact.evictions_seen == reference.evictions == 0
-    bus.publish(Topics.EVICTION, _time=6.0, slot="s")  # unattributed
+    bus.port(Topics.EVICTION).emit_at(6.0, slot="s")  # unattributed
     assert exact.evictions_seen == reference.evictions == 1
     assert_views_match(exact, reference)
 
@@ -511,7 +511,7 @@ def test_empty_run_parity():
 
 
 def _pair():
-    bus = EventBus()
+    bus = Environment().bus
     exact, reference = RunMetrics(), Rollup()
     BusCollector(bus, exact)
     BusCollector(bus, reference)
@@ -521,9 +521,8 @@ def _pair():
 def test_single_event_parity():
     """One task result: a single occupied window, still bit-identical."""
     bus, exact, reference = _pair()
-    bus.publish(
-        Topics.TASK_RESULT,
-        _time=90.0,
+    bus.port(Topics.TASK_RESULT).emit_at(
+        90.0,
         workflow="wf",
         task_id=1,
         category="analysis",
@@ -545,9 +544,8 @@ def test_single_instantaneous_flow_parity():
     """A zero-duration flow lands its full volume in one bin on both
     folds (the rate*overlap spread degenerates to nbytes/bw)."""
     bus, exact, reference = _pair()
-    bus.publish(
-        Topics.NET_FLOW,
-        _time=42.0,
+    bus.port(Topics.NET_FLOW).emit_at(
+        42.0,
         klass="stage-out",
         nbytes=1e9,
         elapsed=0.0,
@@ -568,9 +566,8 @@ def test_event_at_exact_bin_boundary_parity():
     for task_id, (finished, cpu) in enumerate(
         ((1800.0, 0.1), (3000.0, 0.2), (3600.0, 0.3), (3600.0, 0.6)), start=1
     ):
-        bus.publish(
-            Topics.TASK_RESULT,
-            _time=finished,
+        bus.port(Topics.TASK_RESULT).emit_at(
+            finished,
             workflow="wf",
             task_id=task_id,
             category="analysis",
@@ -586,9 +583,8 @@ def test_event_at_exact_bin_boundary_parity():
         )
     # Per-bin flow volumes 0.1, 0.2 (bin 1) then 0.3, 0.6 at the end.
     for started, nbytes in ((1800.0, 0.1), (2000.0, 0.2), (3600.0, 0.3), (3600.0, 0.6)):
-        bus.publish(
-            Topics.NET_FLOW,
-            _time=3600.0 if started == 3600.0 else started + 1.0,
+        bus.port(Topics.NET_FLOW).emit_at(
+            3600.0 if started == 3600.0 else started + 1.0,
             klass="stage-out",
             nbytes=nbytes * 1800.0,
             started=started,

@@ -303,8 +303,8 @@ def test_cli_watch_clean_quickstart_exits_zero(tmp_path):
 def test_watcher_close_detaches(chaos_watch):
     env = Environment()
     watcher = RunWatcher(env.bus, window=100.0)
-    env.bus.publish(Topics.EVICTION, _time=5.0, machine="m0")
+    env.bus.port(Topics.EVICTION).emit_at(5.0, machine="m0")
     assert watcher.engine.events_seen == 1
     watcher.close()
-    env.bus.publish(Topics.EVICTION, _time=6.0, machine="m0")
+    env.bus.port(Topics.EVICTION).emit_at(6.0, machine="m0")
     assert watcher.engine.events_seen == 1
